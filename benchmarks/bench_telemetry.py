@@ -19,18 +19,29 @@ Wall-clock per-request medians for both configurations are recorded
 (``*_seconds`` — reported, never gated) so the on-path cost stays
 visible in the BENCH_E19 rows.
 
+The served tick has a deterministic cost counter too:
+``served_slow_ticks`` is how many times one served ``fib 15`` request
+enters ``Machine._tick_slow``.  The step watermark sends a tick down
+the slow path only at the steps a consumer asked for — for the
+default governor, every ``DEADLINE_STRIDE``-th step — so the count is
+at most ⌈steps / 64⌉ plus one per trip, instead of one per step.
+``repro bench`` gates it exactly (any growth fails).
+
 Regenerates: the BENCH_E19 rows.
 """
 
 import json
+import math
 import statistics
 import time
 
 import pytest
 
 from benchmarks.conftest import bench_record
+from repro.machine import Machine
 from repro.obs.telemetry import NullRegistry, histogram_stats, parse_exposition
 from repro.serve import EvalService, ServiceConfig
+from repro.serve.governor import DEADLINE_STRIDE
 
 #: One setup-light and one eval-heavy workload per backend: the former
 #: maximises the relative weight of any hidden telemetry cost, the
@@ -99,6 +110,40 @@ class TestTelemetryIsFreeWhenOff:
         service.handle({"expr": "1 + 2"})
         assert service.metrics_text() == ""
         assert service.get_trace("0000000000000001") is None
+
+
+FIB15 = (
+    "let { fib = \\n -> if n < 2 then n else fib (n - 1) + fib (n - 2) } "
+    "in fib 15"
+)
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_served_slow_ticks(backend, monkeypatch):
+    """One served request takes the slow tick at the governor's
+    deadline stride (plus once per trip), not at every step."""
+    service = _service(backend, telemetry=True)
+    service.handle({"expr": FIB15})  # warm the program cache
+    entries = []
+    slow = Machine._tick_slow
+
+    def counted(machine):
+        entries.append(machine.stats.steps)
+        slow(machine)
+
+    monkeypatch.setattr(Machine, "_tick_slow", counted)
+    status, body, _retry = service.handle({"expr": FIB15})
+    assert status == 200 and body["value"] == "610", body
+    steps = body["stats"]["steps"]
+    trips = 1 if "trip" in body else 0
+    bench_record(
+        "E19",
+        workload="served-fib15",
+        backend=backend,
+        steps=steps,
+        served_slow_ticks=len(entries),
+    )
+    assert len(entries) <= math.ceil(steps / DEADLINE_STRIDE) + trips
 
 
 class TestTelemetryOnAccounting:

@@ -6,7 +6,8 @@ E13) and records each measured row into ``BENCH_<experiment>.json``
 the suite into a fresh directory, diff the fresh records against the
 checked-in seeds (``benchmarks/records/``), print a delta table, and
 fail — exit status 1 — when any *deterministic* metric regressed by
-more than :data:`REGRESSION_THRESHOLD_PCT` percent.
+more than :data:`REGRESSION_THRESHOLD_PCT` percent (or, for the
+:data:`EXACT_METRICS`, grew at all).
 
 Wall-clock-derived fields (``*_seconds``, ``speedup*``) are reported
 but never gated: they vary with the host, and the repo's performance
@@ -46,6 +47,10 @@ DEFAULT_SEED_DIR = "benchmarks/records"
 #: change (a few extra steps from a new feature) needs only a seed
 #: refresh review, not an emergency.
 REGRESSION_THRESHOLD_PCT = 20.0
+
+#: Deterministic metrics gated with no slack: any growth fails.  These
+#: are costs a change is expected to hold or lower, never trade away.
+EXACT_METRICS = frozenset({"served_slow_ticks"})
 
 
 def _is_wallclock(name: str) -> bool:
@@ -100,6 +105,8 @@ class Delta:
     def regressed(self) -> bool:
         if not self.gated or self.pct is None:
             return False
+        if self.metric in EXACT_METRICS:
+            return self.pct > 0
         return self.pct > REGRESSION_THRESHOLD_PCT
 
 

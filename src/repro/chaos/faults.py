@@ -14,8 +14,9 @@ misbehaves:
   without making anything *semantically* wrong.
 
 Faults are consulted by ``Machine._tick_slow`` (attach with
-``Machine.attach_fault_plan``), so injection happens at step
-boundaries on both backends identically, and every injected exception
+``Machine.attach_fault_plan``) at the steps the plan's
+:meth:`~FaultPlan.watermarks` name, so injection happens at step
+boundaries on every backend identically, and every injected exception
 travels the ordinary ``AsyncInterrupt`` path — fault injection is
 observationally indistinguishable from a genuinely hostile
 environment, which is the point.
@@ -40,6 +41,7 @@ from repro.core.excset import (
     HEAP_OVERFLOW,
 )
 from repro.io.events import EventPlan
+from repro.machine.eval import NEVER
 
 #: Deliver an asynchronous exception at a step boundary.
 INTERRUPT = "interrupt"
@@ -186,11 +188,31 @@ class FaultPlan:
 
     # -- the machine-facing hook ----------------------------------------
 
+    def watermarks(self, machine) -> Tuple[int, int]:
+        """``(step_mark, alloc_mark)``: the machine must consult
+        :meth:`on_step` at the first step past ``step_mark`` (the
+        earliest arming step still ahead, or now if an armed fault is
+        still pending) or once ``stats.allocations`` passes
+        ``alloc_mark`` (the earliest threshold of an armed
+        :data:`ALLOC_FAIL`)."""
+        steps = machine.stats.steps
+        step_mark = alloc_mark = NEVER
+        for fault in self._pending:
+            if steps < fault.step:
+                step_mark = min(step_mark, fault.step - 1)
+            elif fault.kind == ALLOC_FAIL:
+                alloc_mark = min(alloc_mark, fault.allocations - 1)
+            else:
+                step_mark = min(step_mark, steps)
+        return step_mark, alloc_mark
+
     def on_step(self, machine) -> Optional[Exc]:
-        """Consulted by ``Machine._tick_slow`` once per step: fire every
-        fault whose trigger has been reached.  Latency faults stall and
-        the scan continues; the first exception-bearing fault wins the
-        step (the machine delivers it as an ``AsyncInterrupt``)."""
+        """Consulted by ``Machine._tick_slow`` at the steps
+        :meth:`watermarks` names (at any other step it would fire
+        nothing): fire every fault whose trigger has been reached.
+        Latency faults stall and the scan continues; the first
+        exception-bearing fault wins the step (the machine delivers it
+        as an ``AsyncInterrupt``)."""
         stats = machine.stats
         pending = self._pending
         i = 0

@@ -141,6 +141,7 @@ class IOExecutor:
             if not isinstance(action, VIO):
                 raise IORunError(f"performed a non-IO value: {action}")
             tag = action.tag
+            machine.stats.io_actions += 1
             if machine._tracing:
                 machine.sink.emit(IO_ACTION, tag=tag)
             if tag == "return":

@@ -31,9 +31,11 @@ re-implementations), the same strategy-ordered strict primitives
 stateless ones are baked at compile time), the same fuel/async-event
 ticks, and the same ``MachineStats`` counters and ``TraceSink`` event
 stream node for node.  "Tracing is free when off" survives: every
-generated code object gates its slow path on the machine's single
-pre-computed ``_slow`` boolean (tracing, governor or fault plan
-attached) and guards emission with ``_tracing``, just like the
+generated code object ticks with the interpreter's one increment and
+one compare against the machine's step watermark (``_watch``: the next
+step any consumer — fuel, event plan, sink, governor, fault plan,
+slice gate — needs), checks its allocations against the allocation
+watermark, and guards emission with ``_tracing``, just like the
 interpreter.
 
 ``tests/machine/test_backends.py`` pins outcome + counter parity and
@@ -247,7 +249,7 @@ class _Compiler:
             def lit_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 return value
 
@@ -279,7 +281,7 @@ class _Compiler:
             def local_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 cell = f[idx]
                 if cell.state == 2:
@@ -293,7 +295,7 @@ class _Compiler:
             def global_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 if cell.state == 2:
                     return cell.value
@@ -304,7 +306,7 @@ class _Compiler:
         def unbound_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             raise MachineError(f"unbound variable {name!r}")
 
@@ -323,7 +325,7 @@ class _Compiler:
             def lam_code0(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 return closure
 
@@ -333,7 +335,7 @@ class _Compiler:
         def lam_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             return CClosure(var, body_code, capture(f))
 
@@ -346,7 +348,7 @@ class _Compiler:
         def app_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             fn = fn_code(m, f)
             while fn.__class__ is tuple:
@@ -355,6 +357,8 @@ class _Compiler:
             if fn.__class__ is not CClosure:
                 raise MachineError(f"applied non-function {fn}")
             st.allocations += 1
+            if st.allocations > m._awatch:
+                m._watch = -1
             if m._tracing:
                 m.sink.emit(ALLOC, kind="thunk")
             return fn.code, (Cell(arg_code, f),) + fn.captures
@@ -370,9 +374,11 @@ class _Compiler:
             def con_code0(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.allocations += 1
+                if st.allocations > m._awatch:
+                    m._watch = -1
                 if m._tracing:
                     m.sink.emit(ALLOC, kind="con")
                 return con
@@ -386,9 +392,11 @@ class _Compiler:
             def con_code1(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.allocations += 2
+                if st.allocations > m._awatch:
+                    m._watch = -1
                 if m._tracing:
                     m.sink.emit(ALLOC, kind="con")
                     m.sink.emit(ALLOC, kind="thunk")
@@ -401,9 +409,11 @@ class _Compiler:
             def con_code2(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.allocations += 3
+                if st.allocations > m._awatch:
+                    m._watch = -1
                 if m._tracing:
                     m.sink.emit(ALLOC, kind="con")
                     m.sink.emit(ALLOC, kind="thunk")
@@ -415,9 +425,11 @@ class _Compiler:
         def con_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             st.allocations += 1 + n_args
+            if st.allocations > m._awatch:
+                m._watch = -1
             if m._tracing:
                 m.sink.emit(ALLOC, kind="con")
                 for _ in arg_codes:
@@ -436,7 +448,7 @@ class _Compiler:
         def case_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             scrut = scrut_code(m, f)
             while scrut.__class__ is tuple:
@@ -561,7 +573,7 @@ class _Compiler:
         def raise_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             value = _run(m, exc_code, f)
             st.raises += 1
@@ -581,7 +593,7 @@ class _Compiler:
         def fix_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             fn = _run(m, fn_code, f)
             if fn.__class__ is not CClosure:
@@ -618,9 +630,11 @@ class _Compiler:
         def let_code(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             st.allocations += n_binds
+            if st.allocations > m._awatch:
+                m._watch = -1
             if m._tracing:
                 for _ in rhs_codes:
                     m.sink.emit(ALLOC, kind="thunk")
@@ -643,10 +657,12 @@ class _Compiler:
             def io_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.prim_ops += 1
                 st.allocations += len(arg_codes)
+                if st.allocations > m._awatch:
+                    m._watch = -1
                 if m._tracing:
                     for _ in arg_codes:
                         m.sink.emit(ALLOC, kind="thunk")
@@ -659,7 +675,7 @@ class _Compiler:
             def nullary_io_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.prim_ops += 1
                 return VIO(vio_tag)
@@ -673,7 +689,7 @@ class _Compiler:
             def seq_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.prim_ops += 1
                 _run(m, first_code, f)
@@ -690,7 +706,7 @@ class _Compiler:
             def map_exc_code(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.prim_ops += 1
                 try:
@@ -740,7 +756,7 @@ class _Compiler:
                 def strict_lr(m, f):
                     st = m.stats
                     st.steps += 1
-                    if m._slow or m._events or st.steps > m.fuel:
+                    if st.steps > m._watch:
                         m._tick_slow()
                     st.prim_ops += 1
                     try:
@@ -759,6 +775,7 @@ class _Compiler:
                     try:
                         return apply2(a, b)
                     except ObjRaise as err:
+                        st.prim_raises += 1
                         if m._tracing:
                             m.sink.emit(
                                 PRIM_RAISE,
@@ -776,7 +793,7 @@ class _Compiler:
                 def strict_rl(m, f):
                     st = m.stats
                     st.steps += 1
-                    if m._slow or m._events or st.steps > m.fuel:
+                    if st.steps > m._watch:
                         m._tick_slow()
                     st.prim_ops += 1
                     try:
@@ -795,6 +812,7 @@ class _Compiler:
                     try:
                         return apply2(a, b)
                     except ObjRaise as err:
+                        st.prim_raises += 1
                         if m._tracing:
                             m.sink.emit(
                                 PRIM_RAISE,
@@ -810,7 +828,7 @@ class _Compiler:
             def strict_static(m, f):
                 st = m.stats
                 st.steps += 1
-                if m._slow or m._events or st.steps > m.fuel:
+                if st.steps > m._watch:
                     m._tick_slow()
                 st.prim_ops += 1
                 values = [None] * n
@@ -824,6 +842,7 @@ class _Compiler:
                 try:
                     return m._apply_prim(op, values)
                 except ObjRaise as err:
+                    st.prim_raises += 1
                     if m._tracing:
                         m.sink.emit(
                             PRIM_RAISE, exc=err.exc.name, span=prim_span
@@ -837,7 +856,7 @@ class _Compiler:
         def strict_dynamic(m, f):
             st = m.stats
             st.steps += 1
-            if m._slow or m._events or st.steps > m.fuel:
+            if st.steps > m._watch:
                 m._tick_slow()
             st.prim_ops += 1
             values = [None] * n
@@ -851,6 +870,7 @@ class _Compiler:
             try:
                 return m._apply_prim(op, values)
             except ObjRaise as err:
+                st.prim_raises += 1
                 if m._tracing:
                     m.sink.emit(
                         PRIM_RAISE, exc=err.exc.name, span=prim_span

@@ -55,7 +55,12 @@ from repro.machine.values import VCon, VFun, VInt, VIO, VStr, Value
 from repro.obs.events import (
     ALLOC,
     ASYNC_INTERRUPT,
+    BLACKHOLE_ENTER,
+    FORCE,
+    FORCE_END,
     FUEL_GRANT,
+    IO_ACTION,
+    MEMO_RERAISE,
     PRIM_RAISE,
     RAISE,
     STEP,
@@ -67,6 +72,9 @@ Env = Dict[str, Cell]
 BACKENDS = ("ast", "compiled", "super")
 
 _MIN_RECURSION_LIMIT = 200_000
+
+#: The watermark no run reaches: "no consumer needs this counter".
+NEVER = 1 << 62
 
 
 def _ensure_recursion_headroom() -> None:
@@ -131,6 +139,12 @@ class MachineStats:
     the machine analogue of stack build-up from long chains of lazy
     accumulators, which strictness-driven call-by-value flattens (E4).
 
+    The ``prim_raises`` … ``io_actions`` fields count the rare trace
+    events at their emission sites, sink or no sink, so
+    :meth:`event_counts` can report a run's event totals without a
+    :class:`~repro.obs.sinks.CountingSink`.  They are not part of
+    :meth:`as_dict` (the ``stats`` block clients see).
+
     Lifecycle: counters belong to one observation.  A fresh machine
     starts at zero; reusing a machine across observations goes through
     :meth:`Machine.reset_stats` (which also rebases the fuel budget and
@@ -145,6 +159,12 @@ class MachineStats:
     prim_ops: int = 0
     force_depth: int = 0
     max_force_depth: int = 0
+    prim_raises: int = 0
+    memo_reraises: int = 0
+    blackhole_entries: int = 0
+    async_interrupts: int = 0
+    fuel_grants: int = 0
+    io_actions: int = 0
 
     def snapshot(self) -> StatsSnapshot:
         return StatsSnapshot(
@@ -159,6 +179,30 @@ class MachineStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in _STAT_FIELDS}
+
+    def event_counts(self) -> Dict[str, int]:
+        """The machine-layer event totals, exactly as a
+        :class:`~repro.obs.sinks.CountingSink` attached for the same
+        run would report them (``as_dict``: name-sorted, zero counts
+        omitted).  The common events are in lockstep with the core
+        counters — one ``step`` per step, one ``alloc`` per
+        allocation, one ``force``/``force-end`` pair per thunk forced,
+        one ``raise`` per ``raises`` — and the rare ones have their own
+        counters (tests/serve/test_event_counters.py)."""
+        counts = {
+            ALLOC: self.allocations,
+            ASYNC_INTERRUPT: self.async_interrupts,
+            BLACKHOLE_ENTER: self.blackhole_entries,
+            FORCE: self.thunks_forced,
+            FORCE_END: self.thunks_forced,
+            FUEL_GRANT: self.fuel_grants,
+            IO_ACTION: self.io_actions,
+            MEMO_RERAISE: self.memo_reraises,
+            PRIM_RAISE: self.prim_raises,
+            RAISE: self.raises,
+            STEP: self.steps,
+        }
+        return {name: n for name, n in sorted(counts.items()) if n}
 
 
 class MachineError(Exception):
@@ -235,7 +279,7 @@ class Machine:
             # recurses per spine node.
             _ensure_recursion_headroom()
         self.strategy = strategy or LeftToRight()
-        self.fuel = fuel
+        self._fuel = fuel
         self.detect_blackholes = detect_blackholes
         self.stats = MachineStats()
         self._events = deque(sorted(event_plan.items())) if event_plan else deque()
@@ -245,12 +289,29 @@ class Machine:
         self._governor = None
         self._fault = None
         self._gate = None
-        # Combined slow-path switch: True when *any* per-step consumer
-        # (trace sink, resource governor, fault plan) is attached.  The
-        # hot tick tests this one boolean, so a bare machine pays the
-        # seed's exact instruction sequence — attaching a governor costs
-        # nothing more than attaching a sink did.
-        self._slow = self._tracing
+        self._watchers: Tuple = ()
+        # The step watermark: the hot tick takes the slow path only
+        # once ``stats.steps`` exceeds it, i.e. at the next step some
+        # consumer (fuel ceiling, event plan, trace sink, governor,
+        # fault plan, slice gate) actually needs.  ``_awatch`` is the
+        # allocation watermark: an allocation that takes
+        # ``stats.allocations`` past it drops ``_watch`` to -1, so the
+        # very next tick is slow.  ``_tick_slow`` re-arms both.
+        self._watch = -1
+        self._awatch = NEVER
+        self._woken = False
+        self._rearm()
+
+    @property
+    def fuel(self) -> int:
+        """The step budget, as an absolute step threshold: the machine
+        diverges at the first step past it."""
+        return self._fuel
+
+    @fuel.setter
+    def fuel(self, value: int) -> None:
+        self._fuel = value
+        self._rearm()
 
     # -- observability ----------------------------------------------------
 
@@ -258,36 +319,39 @@ class Machine:
         """Attach (or detach, with None/null) a trace sink."""
         self.sink = sink
         self._tracing = is_live(sink)
-        self._recompute_slow()
+        self._rearm()
 
     def attach_governor(self, governor) -> None:
         """Attach (or detach, with None) a per-request resource governor
         (:class:`repro.serve.governor.ResourceGovernor`-shaped: any
-        object with ``poll(machine) -> Optional[Exc]``).
+        object with ``poll(machine) -> Optional[Exc]`` and
+        ``watermarks(machine)``, see :meth:`_rearm`).
 
-        The governor is consulted on the slow half of each tick; a
-        non-None result is delivered as a Section 5.1 asynchronous
-        interrupt (``Timeout``/``HeapOverflow`` are *fictitious
-        exceptions* in the paper's sense — outcomes of the observation,
-        not members computed by the semantics)."""
+        The governor is consulted on the slow half of the ticks it
+        asks for (see :meth:`_rearm`); a non-None result is delivered
+        as a Section 5.1 asynchronous interrupt
+        (``Timeout``/``HeapOverflow`` are *fictitious exceptions* in
+        the paper's sense — outcomes of the observation, not members
+        computed by the semantics)."""
         self._governor = governor
-        self._recompute_slow()
+        self._attached()
 
     def attach_fault_plan(self, plan) -> None:
         """Attach (or detach, with None) a chaos fault plan
         (:class:`repro.chaos.faults.FaultPlan`-shaped: any object with
-        ``on_step(machine) -> Optional[Exc]``).  Consulted at step
+        ``on_step(machine) -> Optional[Exc]`` and
+        ``watermarks(machine)``).  Consulted at step
         boundaries, exactly like the Section 5.1 event plan — injected
         faults are asynchronous interrupts, never silent corruption."""
         self._fault = plan
-        self._recompute_slow()
+        self._attached()
 
     def attach_slice_gate(self, gate) -> None:
         """Attach (or detach, with None) a cooperative slice gate
         (:class:`repro.machine.slices.SliceGate`-shaped: any object
-        with ``on_tick(machine)``).
+        with ``on_tick(machine)`` and ``watermarks(machine)``).
 
-        The gate is consulted on the slow half of each tick, *after*
+        The gate is consulted on the slow half of a tick, *after*
         the governor poll and *before* the fuel check: when the
         granted slice budget is spent it parks the evaluation in place
         (the Python frame stack *is* the continuation) instead of
@@ -296,15 +360,55 @@ class Machine:
         plan, fault injector and governor use, so a scheduler's
         preemption is observationally an ordinary async signal."""
         self._gate = gate
-        self._recompute_slow()
+        self._attached()
 
-    def _recompute_slow(self) -> None:
-        self._slow = bool(
-            self._tracing
-            or self._governor is not None
-            or self._fault is not None
-            or self._gate is not None
+    def _attached(self) -> None:
+        self._watchers = tuple(
+            consumer.watermarks
+            for consumer in (self._fault, self._governor, self._gate)
+            if consumer is not None
         )
+        self._rearm()
+
+    def _rearm(self) -> None:
+        """Re-arm the step and allocation watermarks: the next step
+        any consumer needs a slow tick at.
+
+        A consumer (governor, fault plan, slice gate) answers
+        ``watermarks(machine) -> (step_mark, alloc_mark)``: its next
+        slow tick is due at the first step boundary where
+        ``stats.steps > step_mark`` or ``stats.allocations >
+        alloc_mark``.  Calling a consumer at a step it did not ask for
+        is a no-op by contract, so the slow ticks are a superset of
+        the per-step poll's *acting* ticks and every trip lands on the
+        same step it always did.  A live trace sink needs every step.
+        """
+        self._woken = False
+        mark = -1 if self._tracing else self._fuel
+        amark = NEVER
+        if self._events:
+            mark = min(mark, self._events[0][0] - 1)
+        for watermarks in self._watchers:
+            step_mark, alloc_mark = watermarks(self)
+            if step_mark < mark:
+                mark = step_mark
+            if alloc_mark < amark:
+                amark = alloc_mark
+        if self.stats.allocations > amark:
+            mark = -1
+        self._awatch = amark
+        self._watch = mark
+        if self._woken:
+            # A cross-thread wake() raced this re-arm: keep it.
+            self._watch = -1
+
+    def wake(self) -> None:
+        """Make the next tick slow.  Safe to call from any thread: the
+        hook a consumer uses when an injection (a governor ``inject``,
+        a slice-gate interrupt) must be delivered at the next step
+        boundary rather than at the next watermark."""
+        self._woken = True
+        self._watch = -1
 
     def attach_provenance(self, recorder) -> None:
         """Attach (or detach, with None) a raise-provenance recorder
@@ -328,48 +432,55 @@ class Machine:
         """
         old = self.stats.snapshot()
         consumed = old.steps
-        self.fuel -= consumed
+        self._fuel -= consumed
         if self._events:
             self._events = deque(
                 (max(1, at - consumed), exc) for at, exc in self._events
             )
         self.stats = MachineStats()
+        self._rearm()
         return old
 
     # -- stepping -------------------------------------------------------
 
     def _tick(self) -> None:
-        # Hot path: one increment and one (usually false) test.  The
-        # compiled backend inlines this exact sequence per node, so the
-        # two backends count steps identically.
+        # Hot path: one increment and one (usually false) compare.  The
+        # compiled backends inline this exact sequence per node, so all
+        # backends count steps identically.
         self.stats.steps += 1
-        if self._slow or self._events or self.stats.steps > self.fuel:
+        if self.stats.steps > self._watch:
             self._tick_slow()
 
     def _tick_slow(self) -> None:
         """The rare-path half of a step: trace emission, async event
-        delivery, fault injection, governor polling and fuel
-        exhaustion.  ``stats.steps`` has already been incremented by
-        the caller."""
-        if self._tracing:
-            self.sink.emit(STEP, n=self.stats.steps)
-        if self._events and self.stats.steps >= self._events[0][0]:
-            _step, exc = self._events.popleft()
-            self._interrupt(exc)
-        if self._fault is not None:
-            exc = self._fault.on_step(self)
-            if exc is not None:
+        delivery, fault injection, governor polling, slice gating and
+        fuel exhaustion — run only at the steps the watermark names
+        (see :meth:`_rearm`), and re-arming it on the way out, whether
+        the step ends normally or by an interrupt.  ``stats.steps`` has
+        already been incremented by the caller."""
+        try:
+            if self._tracing:
+                self.sink.emit(STEP, n=self.stats.steps)
+            if self._events and self.stats.steps >= self._events[0][0]:
+                _step, exc = self._events.popleft()
                 self._interrupt(exc)
-        if self._governor is not None:
-            exc = self._governor.poll(self)
-            if exc is not None:
-                self._interrupt(exc)
-        if self._gate is not None:
-            self._gate.on_tick(self)
-        if self.stats.steps > self.fuel:
-            raise MachineDiverged(
-                f"fuel exhausted after {self.stats.steps} steps"
-            )
+            if self._fault is not None:
+                exc = self._fault.on_step(self)
+                if exc is not None:
+                    self._interrupt(exc)
+            if self._governor is not None:
+                exc = self._governor.poll(self)
+                if exc is not None:
+                    self._interrupt(exc)
+            if self._gate is not None:
+                self._gate.on_tick(self)
+            if self.stats.steps > self._fuel:
+                raise MachineDiverged(
+                    f"fuel exhausted after {self.stats.steps} steps"
+                )
+        finally:
+            if not self._tracing:  # a live sink keeps every tick slow
+                self._rearm()
 
     def _interrupt(self, exc: Exc) -> None:
         """Deliver ``exc`` as a Section 5.1 asynchronous interrupt at
@@ -377,6 +488,7 @@ class Machine:
         plan, the fault injector and the resource governor, so all
         three are observationally indistinguishable from a real
         asynchronous signal."""
+        self.stats.async_interrupts += 1
         if self._tracing:
             self.sink.emit(
                 ASYNC_INTERRUPT, exc=exc.name, at=self.stats.steps
@@ -389,7 +501,10 @@ class Machine:
         raise err
 
     def alloc(self, expr: Expr, env: Env) -> Cell:
-        self.stats.allocations += 1
+        stats = self.stats
+        stats.allocations += 1
+        if stats.allocations > self._awatch:
+            self._watch = -1
         if self._tracing:
             self.sink.emit(ALLOC, kind="thunk")
         return Cell(expr, env)
@@ -399,6 +514,7 @@ class Machine:
         monitor after aborting a too-long evaluation, so the program's
         continuation gets a fresh allowance."""
         self.fuel = self.stats.steps + extra
+        self.stats.fuel_grants += 1
         if self._tracing:
             self.sink.emit(FUEL_GRANT, extra=extra, budget=self.fuel)
 
@@ -440,6 +556,8 @@ class Machine:
                 continue  # tail-call into the body
             if isinstance(expr, Con):
                 self.stats.allocations += 1
+                if self.stats.allocations > self._awatch:
+                    self._watch = -1
                 if self._tracing:
                     self.sink.emit(ALLOC, kind="con")
                 return VCon(
@@ -594,7 +712,11 @@ class Machine:
         if self._prov is None and not self._tracing:
             for idx in self.strategy.order(op, n):
                 values[idx] = self.eval(expr.args[idx], env)
-            return self._apply_prim(op, values)
+            try:
+                return self._apply_prim(op, values)
+            except ObjRaise:
+                self.stats.prim_raises += 1
+                raise
         # Recording/tracing path.  Two raise origins are distinguished:
         # an exception *propagating* out of argument evaluation (its
         # provenance already annotated at a tighter site; no event —
@@ -613,6 +735,7 @@ class Machine:
         try:
             return self._apply_prim(op, values)
         except ObjRaise as err:
+            self.stats.prim_raises += 1
             if self._tracing:
                 self.sink.emit(
                     PRIM_RAISE, exc=err.exc.name, span=expr.span

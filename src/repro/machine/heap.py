@@ -106,6 +106,7 @@ class Cell:
             return self.value
         if state == _RAISE:
             assert self.exc is not None
+            machine.stats.memo_reraises += 1
             if machine._tracing:
                 machine.sink.emit(MEMO_RERAISE, exc=self.exc.name)
             err = ObjRaise(self.exc)
@@ -119,6 +120,7 @@ class Cell:
         if state == _BLACKHOLE:
             # Re-entering a thunk under evaluation: a loop.  Section 5.2
             # permits (but does not require) reporting NonTermination.
+            machine.stats.blackhole_entries += 1
             if machine._tracing:
                 machine.sink.emit(
                     BLACKHOLE_ENTER, reported=machine.detect_blackholes

@@ -17,8 +17,9 @@ BLACKHOLE discipline plays with in-flight thunks.  Two pieces:
 
 :class:`SliceGate`
     attached to a machine via ``Machine.attach_slice_gate``; consulted
-    on the slow half of every tick (after the governor poll, before
-    the fuel check).  When the granted budget is spent it blocks the
+    on the slow half of the tick at its stop line, or the next tick
+    after an interrupt (after the governor poll, before the fuel
+    check).  When the granted budget is spent it blocks the
     evaluating thread on a condition variable; when an interrupt is
     pending it delivers it through ``Machine._interrupt`` — the single
     §5.1 delivery path shared with the event plan, the fault injector
@@ -48,9 +49,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.excset import Exc
+from repro.machine.eval import NEVER
 
 __all__ = [
     "SLICE_DONE",
@@ -94,14 +96,29 @@ class SliceGate:
         self._clock = clock
         self._active = 0.0
         self._resumed_at = clock()
+        self._machine = None
         self.slices = 0
 
     # -- machine side (continuation thread) ---------------------------
 
+    def watermarks(self, machine) -> Tuple[int, int]:
+        """``(step_mark, alloc_mark)``: the machine must call
+        :meth:`on_tick` at the stop line — the first step past
+        ``_stop - 1`` — or at once when an interrupt is pending.
+        Records ``machine`` so :meth:`interrupt` can wake it."""
+        # Store, then read; the injecting side writes ``_pending``,
+        # then reads ``_machine``.  Either this re-arm sees the
+        # injection or the injector sees the machine and wakes it.
+        self._machine = machine
+        if self._pending is not None:
+            return -1, NEVER
+        return self._stop - 1, NEVER
+
     def on_tick(self, machine) -> None:
-        """The per-tick hook ``Machine._tick_slow`` calls.  Delivers a
-        pending interrupt first (mid-slice preemption), then parks
-        when the slice budget is spent."""
+        """The hook ``Machine._tick_slow`` calls at the steps
+        :meth:`watermarks` names (at any other step it does nothing).
+        Delivers a pending interrupt first (mid-slice preemption),
+        then parks when the slice budget is spent."""
         if self._pending is not None:
             self._deliver(machine)
         if machine.stats.steps < self._stop:
@@ -167,6 +184,9 @@ class SliceGate:
                 return
             self._pending = exc
             self._cond.notify_all()
+        machine = self._machine
+        if machine is not None:
+            machine.wake()
 
     def active_clock(self) -> float:
         """Accumulated *running* time: the wall clock minus every

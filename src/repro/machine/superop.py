@@ -245,12 +245,19 @@ class _Emit:
         # THE virtual step boundary: the exact inlined tick every
         # unfused closure performs (repro.machine.compile), repeated
         # inside fused frames so interrupts, faults, fuel exhaustion
-        # and STEP events land at identical step counts.  `_sl`/`_fu`
-        # are frame-entry snapshots (see `build`).
+        # and STEP events land at identical step counts.  The
+        # watermark is read live (see `build`).
         self.ops += 1
         self.emit("st.steps += 1", indent)
-        self.emit("if _sl or st.steps > _fu:", indent)
+        self.emit("if st.steps > m._watch:", indent)
         self.emit("    m._tick_slow()", indent)
+
+    def alloc(self, count, indent: int = 1) -> None:
+        # Allocation accounting, with the allocation-watermark check
+        # every backend performs at its allocation sites.
+        self.emit(f"st.allocations += {count}", indent)
+        self.emit("if st.allocations > m._awatch:", indent)
+        self.emit("    m._watch = -1", indent)
 
     def drain(self, dest: str, indent: int) -> None:
         # The work-loop tail drain, inlined (compiled backend's
@@ -260,22 +267,14 @@ class _Emit:
         self.emit(f"    {dest} = _tc(m, _tf)", indent)
 
     def build(self) -> Code:
-        # The slow-path predicate and the fuel ceiling are snapshotted
-        # at frame entry.  This is observation-preserving: `_slow`
-        # only changes via attach_* calls, never mid-evaluation;
-        # `_events` delivery raises AsyncInterrupt (unwinding this
-        # frame), so a stale True merely re-runs the same no-op slow
-        # path the unfused tick would take; and `grant_fuel` happens
-        # only under a governor, which forces `_slow` (hence `_sl`)
-        # True, making every tick consult the live fuel via
-        # `_tick_slow` exactly as the unfused backends do.
+        # Nothing but the stats object is snapshotted at frame entry:
+        # every tick reads the step watermark `m._watch` live, so a
+        # cross-thread injection (governor `inject`, slice-gate
+        # `interrupt`), which lowers it via `Machine.wake`, lands at
+        # the very next virtual step boundary even inside a long
+        # fused frame — exactly where the unfused backends deliver it.
         body = "\n".join(self.lines) or "    pass"
-        src = (
-            "def _fused(m, f):\n"
-            "    st = m.stats\n"
-            "    _sl = m._slow or bool(m._events)\n"
-            "    _fu = m.fuel\n" + body + "\n"
-        )
+        src = "def _fused(m, f):\n    st = m.stats\n" + body + "\n"
         code = _CODE_CACHE.get(src)
         if code is None:
             code = _CODE_CACHE[src] = compile(src, "<superop>", "exec")
@@ -488,6 +487,7 @@ class _SuperCompiler(_Compiler):
             kap = em.const(_APPLY2[op], "ap")
             em.emit(f"    {dest} = {kap}({a}, {b})", ind)
         em.emit("except ObjRaise as _err:", ind)
+        em.emit("    st.prim_raises += 1", ind)
         em.emit("    if m._tracing:", ind)
         em.emit(
             f"        m.sink.emit(PRIM_RAISE, exc=_err.exc.name, "
@@ -548,7 +548,7 @@ class _SuperCompiler(_Compiler):
                 ind,
             )
             target = (f"{fv}.code", f"(Cell({kargc}, f),) + {fv}.captures")
-        em.emit("st.allocations += 1", ind)
+        em.alloc(1, ind)
         em.emit("if m._tracing:", ind)
         em.emit('    m.sink.emit(ALLOC, kind="thunk")', ind)
         self._count("app")
@@ -579,12 +579,12 @@ class _SuperCompiler(_Compiler):
             # The base backend shares one VCon per nullary-Con site;
             # baking a constant matches it exactly.
             k = em.const(VCon(expr.name))
-            em.emit("st.allocations += 1", ind)
+            em.alloc(1, ind)
             em.emit("if m._tracing:", ind)
             em.emit('    m.sink.emit(ALLOC, kind="con")', ind)
             em.emit(f"{dest} = {k}", ind)
         else:
-            em.emit(f"st.allocations += {1 + n}", ind)
+            em.alloc(1 + n, ind)
             em.emit("if m._tracing:", ind)
             em.emit('    m.sink.emit(ALLOC, kind="con")', ind)
             for _ in range(n):
@@ -752,7 +752,7 @@ class _SuperCompiler(_Compiler):
             krhs = em.const(rhs_codes, "rhs")
             kframer = em.const(_let_framer(n_binds, cap_src), "framer")
             em.tick()
-            em.emit(f"st.allocations += {n_binds}")
+            em.alloc(n_binds)
             em.emit("if m._tracing:")
             for _ in range(n_binds):
                 em.emit('    m.sink.emit(ALLOC, kind="thunk")')
@@ -786,7 +786,7 @@ class _SuperCompiler(_Compiler):
                 def folded_var(m, f):
                     st = m.stats
                     st.steps += 1
-                    if m._slow or m._events or st.steps > m.fuel:
+                    if st.steps > m._watch:
                         m._tick_slow()
                     return value
 

@@ -20,8 +20,8 @@ Layout
     jitter, and a circuit breaker with fast rejection and Retry-After.
 ``repro.serve.service``
     The service itself: fresh machine per request, bounded concurrency
-    with an admission queue, structured JSON outcomes, and
-    CountingSink-backed metrics (the PR-1 observability layer).
+    with an admission queue, structured JSON outcomes, and event
+    metrics read off machine counters (the PR-1 event names).
 ``repro.serve.http``
     A stdlib-only threaded HTTP front end: ``POST /eval`` and
     ``GET /healthz``.

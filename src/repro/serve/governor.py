@@ -4,9 +4,12 @@
 [an expression] had gone on for a long time, and attempt to abort the
 computation" — the paper's Timeout story, and the whole design of this
 module.  A :class:`ResourceGovernor` polices one evaluation: it is
-consulted by ``Machine._tick_slow`` once per step (attach with
-``Machine.attach_governor``) and, when a limit is breached, answers
-with the matching asynchronous exception —
+consulted by ``Machine._tick_slow`` (attach with
+``Machine.attach_governor``) at the steps its :meth:`watermarks` name
+— the step past ``max_steps``, each ``DEADLINE_STRIDE`` multiple, the
+step after an allocation past ``max_allocations``, and the step after
+an :meth:`inject` — and, when a limit is breached, answers with the
+matching asynchronous exception —
 
 * ``Timeout`` for the step budget or the wall-clock deadline,
 * ``HeapOverflow`` for the allocation cap —
@@ -21,8 +24,9 @@ Two deliberate choices:
 
 * **Step-boundary enforcement.**  The allocation cap is checked
   against ``stats.allocations`` at step boundaries rather than inside
-  the allocator, because the compiled backend inlines allocation; a
-  step-boundary check is deterministic and identical on both backends
+  the allocator: an allocation past the machine's allocation
+  watermark only schedules a slow tick, and the trip lands on the
+  next step boundary — deterministic and identical on every backend
   (off by at most the few allocations a single step performs).
 * **One-shot delivery.**  Each limit trips at most once per
   evaluation, like a signal.  A handler that catches the exception
@@ -35,9 +39,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.excset import Exc, HEAP_OVERFLOW, TIMEOUT
+from repro.machine.eval import NEVER
 
 #: How many steps between wall-clock reads.  Reading a monotonic clock
 #: every step would dominate governed runtime; every 64th step bounds
@@ -72,8 +77,9 @@ class ResourceGovernor:
 
     ``clock`` is injectable (monotonic seconds) so deadline behaviour
     is testable without real waiting.  Call :meth:`start` immediately
-    before evaluation begins; the machine calls :meth:`poll` once per
-    step thereafter.  ``trips`` records every limit that fired.
+    before evaluation begins; the machine calls :meth:`poll` at the
+    steps :meth:`watermarks` names thereafter (polling at any other
+    step is a no-op).  ``trips`` records every limit that fired.
     """
 
     def __init__(
@@ -88,6 +94,7 @@ class ResourceGovernor:
         self._allocs_armed = limits.max_allocations is not None
         self._deadline_armed = limits.deadline_seconds is not None
         self._injected: Optional[tuple] = None
+        self._machine = None
         self.trips: List[TripRecord] = []
 
     def start(self) -> None:
@@ -128,8 +135,36 @@ class ResourceGovernor:
         the governor instead of a side channel means they register as
         ordinary governor trips: counted, trace-spanned, and rendered
         in the response's ``trip`` block like any §5.1 limit.  Safe to
-        call from another thread; delivered at the next poll."""
+        call from another thread; delivered at the next step boundary
+        (the governed machine is woken)."""
         self._injected = (reason, exc)
+        machine = self._machine
+        if machine is not None:
+            machine.wake()
+
+    def watermarks(self, machine) -> Tuple[int, int]:
+        """``(step_mark, alloc_mark)``: the machine must poll at the
+        first step past ``step_mark`` — the step past ``max_steps`` or
+        the next ``DEADLINE_STRIDE`` multiple — or once
+        ``stats.allocations`` passes ``alloc_mark``.  Records
+        ``machine`` so :meth:`inject` can wake it."""
+        # Store, then read; the injecting side writes ``_injected``,
+        # then reads ``_machine``.  Either this re-arm sees the
+        # injection or the injector sees the machine and wakes it.
+        self._machine = machine
+        if self._injected is not None:
+            return -1, NEVER
+        step_mark = alloc_mark = NEVER
+        if self._steps_armed:
+            step_mark = self.limits.max_steps
+        if self._deadline_armed:
+            stride = DEADLINE_STRIDE
+            step_mark = min(
+                step_mark, (machine.stats.steps // stride + 1) * stride - 1
+            )
+        if self._allocs_armed:
+            alloc_mark = self.limits.max_allocations
+        return step_mark, alloc_mark
 
     def poll(self, machine) -> Optional[Exc]:
         """The machine-facing hook: the exception to deliver now, or

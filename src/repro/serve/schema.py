@@ -97,10 +97,11 @@ RESPONSE_SCHEMAS: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {
     ),
     "error": (
         {
-            "status": "`\"error\"` — the request itself is at fault",
+            "status": "`\"error\"` — the request could not be evaluated",
             "reason": "`bad-request` | `bad-json` | `body-too-large` | "
             "`parse-error` | `type-error` | `batch-too-large` | "
-            "`not-found`",
+            "`not-found` (the request is at fault) | `internal-error` "
+            "(500: an unexpected exception escaped evaluation)",
             "message": "human-readable detail",
         },
         {
@@ -131,7 +132,7 @@ HTTP_STATUS = {
     "resource-exhausted": "200",
     "batch": "200",
     "rejected": "429 / 503",
-    "error": "400 / 404 / 413",
+    "error": "400 / 404 / 413 / 500",
 }
 
 

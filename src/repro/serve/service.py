@@ -44,9 +44,18 @@ once, and at most ``queue_depth`` further requests wait; beyond that,
 admission fails instantly — a service that queues unboundedly is a
 service that falls over late instead of degrading early.
 
-Metrics reuse the PR-1 observability layer verbatim: each request's
-machine carries a :class:`~repro.obs.sinks.CountingSink`, and the
-per-request counts are merged into service totals for ``/healthz``.
+Metrics reuse the PR-1 observability layer's event names: each
+request's event totals are read off its machine's counters
+(:meth:`~repro.machine.eval.MachineStats.event_counts`, in lockstep
+with what a :class:`~repro.obs.sinks.CountingSink` would count, without
+putting a sink on the hot tick), and merged into service totals for
+``/healthz``.
+
+An exception that escapes evaluation anyway (a ``RecursionError`` from
+a very deep program, a ``MachineError`` from an ill-typed one) is the
+service's failure, not the client's: it becomes a ``500`` body with
+reason ``internal-error``, counted and traced like every other
+response, so the latency histogram still counts every request.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ from repro.machine.snapshot import (
 )
 from repro.machine.slices import SliceRunner
 from repro.machine.values import VIO
-from repro.obs.sinks import CountingSink, JsonlSink
+from repro.obs.sinks import JsonlSink
 from repro.obs.telemetry import (
     LATENCY_BUCKETS,
     STEP_BUCKETS,
@@ -693,6 +702,12 @@ class EvalService:
             status, body, retry_after = self._serve_program_inner(
                 request, builder
             )
+        except Exception as err:
+            # The last resort: never let a raw exception escape the
+            # response schema (or drop an HTTP connection).
+            status, body, retry_after = self._internal_error(
+                err, request, builder
+            )
         finally:
             self._m["repro_request_seconds"].observe(
                 self._clock() - started
@@ -700,6 +715,31 @@ class EvalService:
         body["request_id"] = ids[0]
         body["trace_id"] = ids[1]
         return status, body, retry_after
+
+    def _internal_error(
+        self, err: Exception, request: Dict[str, Any], builder
+    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
+        # Imported here, on the rare path, so serving loads nothing
+        # more than it did before the handler existed.
+        import logging
+
+        logging.getLogger(__name__).error(
+            "internal error serving trace %s",
+            builder.trace_id or "-",
+            exc_info=err,
+        )
+        self.breaker.record_failure()
+        self._count_status("error", request.get("tenant", "anonymous"))
+        builder.annotate(error="internal-error")
+        return (
+            500,
+            {
+                "status": "error",
+                "reason": "internal-error",
+                "message": f"evaluation failed: {type(err).__name__}",
+            },
+            None,
+        )
 
     def _serve_program_inner(
         self, request: Dict[str, Any], builder
@@ -879,10 +919,9 @@ class EvalService:
         with builder.span("attempt", number=attempt_number):
             if self.snapshot is not None:
                 # Warm: an O(1) fork sharing the frozen prelude heap.
-                # The fork carries no instrumentation; sink/governor/
-                # fault are attached below, exactly as on the cold
-                # path, so both paths instrument the same evaluation
-                # window.
+                # The fork carries no instrumentation; governor/fault
+                # are attached below, exactly as on the cold path, so
+                # both paths instrument the same evaluation window.
                 with builder.span("fork"):
                     machine, env = self.snapshot.fork(
                         fuel=config.backstop_fuel()
@@ -899,9 +938,6 @@ class EvalService:
                         backend=config.backend,
                         fuel=config.backstop_fuel(),
                     )
-            sink = CountingSink() if config.collect_events else None
-            if sink is not None:
-                machine.attach_sink(sink)
             if gate is not None:
                 # Sliced mode: the machine parks at slice boundaries,
                 # and the governor's deadline is measured against the
@@ -957,7 +993,7 @@ class EvalService:
                 # never shift a trip decision.
                 governor.start()
                 outcome = self._observe(program, env, machine, stdin)
-            result = self._classify(outcome, machine, governor, fault, sink)
+            result = self._classify(outcome, machine, governor, fault)
             # Decorate the attempt with the machine's deterministic
             # counters and the exceptional-set summary — observation
             # after the fact, never interference.
@@ -991,13 +1027,11 @@ class EvalService:
             return executor.run_cell(Cell.ready(value))
         return Normal(value)
 
-    def _classify(
-        self, outcome, machine, governor, fault, sink
-    ) -> _Attempt:
+    def _classify(self, outcome, machine, governor, fault) -> _Attempt:
         result = _Attempt(kind="value")
         result.stats = machine.stats.as_dict()
-        if sink is not None:
-            result.events = sink.as_dict()
+        if self.config.collect_events:
+            result.events = machine.stats.event_counts()
         if fault is not None:
             result.faults_injected = [
                 {"kind": rec.kind, "step": rec.step, "exc": rec.exc}

@@ -56,6 +56,16 @@ class TestCompare:
         fresh = {"E1": [{"workload": "fib", "steps": 50}]}
         assert compare_records(seed, fresh).ok
 
+    def test_exact_metrics_fail_on_any_growth(self):
+        row = {"workload": "served-fib15", "backend": "super"}
+        seed = {"E19": [{**row, "served_slow_ticks": 308}]}
+        grown = {"E19": [{**row, "served_slow_ticks": 309}]}
+        shrunk = {"E19": [{**row, "served_slow_ticks": 300}]}
+        (delta,) = compare_records(seed, grown).regressions
+        assert delta.metric == "served_slow_ticks"
+        assert compare_records(seed, shrunk).ok
+        assert compare_records(seed, seed).ok
+
     def test_wallclock_fields_never_gate(self):
         seed = {
             "E13": [
