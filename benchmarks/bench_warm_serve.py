@@ -22,6 +22,15 @@ BENCH_E16 rows and EXPERIMENTS.md, on the setup-dominated workloads
 where the warm path's savings are the whole request; ``sumsq`` is the
 eval-heavy control whose speedup is bounded by evaluation cost.
 
+The ``cold-front-end`` row pins the program cache's tiered lowering
+on ``super``: a fixed corpus of new programs served once must never
+reach fused codegen (first use runs the closure lowering), the same
+corpus served again must fuse every well-formed program exactly once
+(its first cache hit), and the prelude type environment the
+typecheck stage infers against must be built once per process.  Its
+three counters are gated with zero slack
+(``repro.benchcompare.EXACT_METRICS``).
+
 Regenerates: the BENCH_E16 rows.
 """
 
@@ -30,6 +39,8 @@ import time
 
 import pytest
 
+import repro.api as api
+import repro.machine.superop as superop
 from benchmarks.conftest import bench_record
 from repro.serve import EvalService, ServiceConfig
 
@@ -153,3 +164,105 @@ class TestWarmServeSpeedup:
             divergences=0,
             target="reported",
         )
+
+
+def _cold_corpus():
+    """40 distinct requests in the mix a cold client sends: five
+    program templates over seven parameters, a quarter of them asking
+    for a typecheck, plus three parse errors and two type errors.
+    Returns ``(requests, well_formed)`` — the well-formed ones are
+    those that reach evaluation."""
+    templates = (
+        "sum (map (\\x -> x * {k}) (enumFromTo 1 {n}))",
+        "let {{ go = \\i -> if i == 0 then {k} else i + go (i - 1) }} "
+        "in go {n}",
+        "case lookup {k} (zip (enumFromTo 1 {n}) (enumFromTo 2 {n})) "
+        "of {{ Nothing -> 0; Just v -> v * {k} }}",
+        "length (filter (\\x -> x `mod` {k} == 0) (enumFromTo 1 {n}))",
+        "putStr (if {n} `div` ({k} - 2) == 0 then \"a\" else \"b\")",
+    )
+    requests = []
+    for i, template in enumerate(templates):
+        for j in range(7):
+            source = template.format(k=j + 2, n=10 + 3 * j + i)
+            requests.append(
+                {"expr": source, "typecheck": (i * 7 + j) % 4 == 0}
+            )
+    requests += [
+        {"expr": "let { = 1 } in 2"},
+        {"expr": "(1 +"},
+        {"expr": "case of"},
+        {"expr": '1 + "one"', "typecheck": True},
+        {"expr": "length 3", "typecheck": True},
+    ]
+    return requests, len(templates) * 7
+
+
+class TestTieredLowering:
+    def test_cold_front_end(self, monkeypatch):
+        fused = []
+        real_compile_super = superop.compile_super
+        monkeypatch.setattr(
+            superop,
+            "compile_super",
+            lambda *a, **kw: fused.append(1) or real_compile_super(*a, **kw),
+        )
+        builds = []
+        real_type_env = api.prelude_type_env
+        monkeypatch.setattr(api, "_shared_type_env", None)
+        monkeypatch.setattr(
+            api,
+            "prelude_type_env",
+            lambda: builds.append(1) or real_type_env(),
+        )
+
+        requests, well_formed = _cold_corpus()
+        service = _service("super", warm=True)
+        try:
+            passes = []
+            for _ in range(2):
+                before = len(fused)
+                start = time.perf_counter()
+                bodies = [service.handle(r)[1] for r in requests]
+                passes.append(
+                    (bodies, len(fused) - before, time.perf_counter() - start)
+                )
+            promotions = service.health()["cache"]["promotions"]
+        finally:
+            service.close()
+
+        (first, first_fused, first_s), (second, second_fused, second_s) = (
+            passes
+        )
+
+        def strip(body):
+            return {
+                k: v
+                for k, v in body.items()
+                if k not in ("request_id", "trace_id")
+            }
+
+        divergences = sum(
+            strip(a) != strip(b) for a, b in zip(first, second)
+        )
+        evaluated = sum("stats" in body for body in first)
+        bench_record(
+            "E16",
+            workload="cold-front-end",
+            backend="super",
+            programs=len(requests),
+            well_formed=well_formed,
+            fused_compiles_first_pass=first_fused,
+            fused_compiles_second_pass=second_fused,
+            prelude_env_builds=len(builds),
+            promotions=promotions,
+            divergences=divergences,
+            first_pass_seconds=round(first_s, 6),
+            second_pass_seconds=round(second_s, 6),
+            target="closure on first use, fused on first hit",
+        )
+        assert evaluated == well_formed
+        assert divergences == 0
+        assert first_fused == 0
+        assert second_fused == promotions == well_formed
+        assert len(builds) == 1

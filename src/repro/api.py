@@ -8,6 +8,7 @@ modules remain importable for finer control.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.denote import (
@@ -55,15 +56,34 @@ def compile_program(source: str, typecheck: bool = False) -> Program:
 
 
 def prelude_type_env() -> Tuple[TypeEnv, ADTEnv]:
+    """Infer the prelude's type environment afresh (uncached)."""
     prelude = prelude_program()
     adts = ADTEnv.from_programs(prelude)
     env = infer_program(prelude, adts=adts)
     return env, adts
 
 
+_shared_type_env: Optional[Tuple[TypeEnv, ADTEnv]] = None
+_shared_type_env_lock = threading.Lock()
+
+
+def shared_prelude_type_env() -> Tuple[TypeEnv, ADTEnv]:
+    """The prelude's type environment, built by the first caller and
+    shared by the rest of the process.  Read-only: inference copies
+    the type environment, and a caller that declares new types extends
+    ``adts.copy()``, never the shared ``ADTEnv``."""
+    global _shared_type_env
+    if _shared_type_env is None:
+        with _shared_type_env_lock:
+            if _shared_type_env is None:
+                _shared_type_env = prelude_type_env()
+    return _shared_type_env
+
+
 def typecheck_program(program: Program) -> TypeEnv:
     """Typecheck a module against the prelude environment."""
-    base, adts = prelude_type_env()
+    base, shared_adts = shared_prelude_type_env()
+    adts = shared_adts.copy()
     for decl in program.data_decls:
         adts.add_decl(decl)
     return infer_program(program, base_env=base, adts=adts)

@@ -65,6 +65,7 @@ docs/PERFORMANCE.md.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Optional, Union
 
 from repro.lang.ast import (
@@ -204,14 +205,25 @@ _INLINE_CMP = {
     "==": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 }
 
-#: Source-text → code-object memo for generated fused functions.  The
-#: generated *source* is deterministic in (expr shape, baked strategy
-#: order, fusion decisions) — every environment-dependent value lives
-#: in the per-function constant namespace under a positional `_k<N>`
-#: name, never in the text — so identical text compiles to an
-#: identical code object and `compile()` (the dominant cost of
-#: `compile_super` on small programs) is paid once per shape.
-_CODE_CACHE: Dict[str, object] = {}
+#: Bound on :func:`_compile_fused`'s memo.  Over the prelude build
+#: plus 1000 guided fuzz iterations (116,850 lookups, 1,295 distinct
+#: sources) an unbounded memo hits 98.89% of lookups and 512 entries
+#: hit 98.66%; the prelude build alone (85 distinct sources) hits the
+#: same 55.96% at any bound from 128 up.
+CODE_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _compile_fused(src: str):
+    """Source text → code object for one generated fused function,
+    memoised in a bounded LRU.  The generated *source* is deterministic
+    in (expr shape, baked strategy order, fusion decisions) — every
+    environment-dependent value lives in the per-function constant
+    namespace under a positional `_k<N>` name, never in the text — so
+    identical text compiles to an identical code object and
+    `compile()` (the dominant cost of `compile_super` on small
+    programs) is paid once per shape while the shape stays recent."""
+    return compile(src, "<superop>", "exec")
 
 
 class _Emit:
@@ -275,10 +287,7 @@ class _Emit:
         # fused frame — exactly where the unfused backends deliver it.
         body = "\n".join(self.lines) or "    pass"
         src = "def _fused(m, f):\n    st = m.stats\n" + body + "\n"
-        code = _CODE_CACHE.get(src)
-        if code is None:
-            code = _CODE_CACHE[src] = compile(src, "<superop>", "exec")
-        exec(code, self.ns)
+        exec(_compile_fused(src), self.ns)
         return self.ns.pop("_fused")
 
 

@@ -10,23 +10,37 @@ strategy`` and stores the derived artifacts:
 * the flattened AST (``expr``) — or, for unparseable source, the
   parse error itself (negative caching: a client retrying a bad
   program in a loop should not re-run the parser either);
-* the compiled closure tree (``code``), built lazily on first use
+* the lowered program (``lower()``), built lazily on first use
   against the :class:`~repro.machine.snapshot.PreludeSnapshot`'s
   frozen environment — the generated code bakes those shared cells in,
   which is exactly why it can be reused by every fork (the cells are
   immutable and machine-independent; the running machine is a call
   argument, not a capture);
 * the type-check verdict (``typecheck()``), also lazy — most clients
-  do not ask for it, and inference is the most expensive front-end
-  stage.
+  do not ask for it.  Inference runs against the process-wide prelude
+  type environment (:func:`repro.api.shared_prelude_type_env`), so a
+  miss pays for the program alone.
+
+Lowering is tiered on the ``super`` backend.  An entry's first use
+runs the closure lowering (:func:`~repro.machine.compile.compile_top`,
+cheap to build); its first cache *hit* — counted in
+:meth:`ProgramCache.lookup`, so retries and forks within one request
+never count — marks it hot, and its next lowering builds the fused
+frames (:func:`~repro.machine.superop.compile_super`) once and drops
+the closure tree.  Backend parity makes the two tiers observably
+identical (same steps, allocations, events and traces), so the choice
+is purely a cost decision: a program seen once never pays fused
+codegen, and a repeated one runs fused code from its second request.
+The ``compiled`` backend has one tier, the closure lowering.
 
 Invalidation is structural: content addressing means an edited source
 *is* a different key, so stale artifacts are never served — the old
 entry simply ages out of the LRU bound.  ``invalidate`` exists for
 explicit eviction (operational hygiene, tested), and ``clear`` drops
 everything.  All operations are thread-safe under one lock; the lazy
-``code``/``typecheck`` stages are double-checked so concurrent misses
-compile once.
+``lower``/``typecheck`` stages are double-checked under the entry's
+lock, so concurrent misses compile once and concurrent hits promote
+once.
 """
 
 from __future__ import annotations
@@ -37,6 +51,11 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 
+#: The two lowering tiers, as reported on the ``attempt`` span.
+CLOSURE = "closure"
+FUSED = "fused"
+
+
 class CachedProgram:
     """One cache entry: source-derived artifacts, computed at most once."""
 
@@ -45,7 +64,9 @@ class CachedProgram:
         "source",
         "expr",
         "error",
-        "_code",
+        "hot",
+        "owner",
+        "_lowered",
         "_verdict",
         "_lock",
     )
@@ -55,31 +76,41 @@ class CachedProgram:
         self.source = source
         self.expr = expr
         self.error = error  # parse/flatten failure message, or None
-        self._code = None
+        self.hot = False  # set by the entry's first cache hit
+        self.owner: Optional["ProgramCache"] = None
+        self._lowered: Optional[Tuple[Any, str]] = None  # (code, tier)
         self._verdict: Optional[Tuple[str, str]] = None
         self._lock = threading.Lock()
 
-    def code(self, glob, strategy):
-        """The lowered program — a closure tree (``compiled``) or fused
-        frame tree (``super``), built once against ``glob`` (the
-        snapshot's frozen environment).  The cache key carries the
-        backend, so entries for different backends never share code."""
-        if self._code is None:
-            with self._lock:
-                if self._code is None:
-                    if self.key[1] == "super":
-                        from repro.machine.superop import compile_super
+    def lower(self, glob, strategy) -> Tuple[Any, str, bool]:
+        """``(code, tier, built)``: the program lowered against
+        ``glob`` (the snapshot's frozen environment) in the tier the
+        entry has reached, and whether this call paid the codegen.
+        The tier is ``"fused"`` once a ``super`` entry is hot and
+        ``"closure"`` otherwise.  The cache key carries the backend,
+        so entries for different backends never share code."""
+        tier = FUSED if self.hot and self.key[1] == "super" else CLOSURE
+        lowered = self._lowered
+        if lowered is not None and lowered[1] == tier:
+            return lowered[0], tier, False
+        with self._lock:
+            lowered = self._lowered
+            if lowered is not None and lowered[1] == tier:
+                return lowered[0], tier, False
+            if tier == FUSED:
+                from repro.machine.superop import compile_super
 
-                        self._code = compile_super(
-                            self.expr, glob, strategy
-                        )
-                    else:
-                        from repro.machine.compile import compile_top
+                code = compile_super(self.expr, glob, strategy)
+            else:
+                from repro.machine.compile import compile_top
 
-                        self._code = compile_top(
-                            self.expr, glob, strategy
-                        )
-        return self._code
+                code = compile_top(self.expr, glob, strategy)
+            # Replacing the pair drops the closure tree on promotion;
+            # forks already running it keep their own reference.
+            self._lowered = (code, tier)
+        if tier == FUSED and self.owner is not None:
+            self.owner._count_promotion()
+        return code, tier, True
 
     def typecheck(self) -> Tuple[str, str]:
         """``("ok", type)`` or ``("type-error", message)``, memoised."""
@@ -90,11 +121,11 @@ class CachedProgram:
         return self._verdict
 
     def _infer(self) -> Tuple[str, str]:
-        from repro.api import prelude_type_env
+        from repro.api import shared_prelude_type_env
         from repro.types.infer import TypeError_, infer_expr
 
         try:
-            env, adts = prelude_type_env()
+            env, adts = shared_prelude_type_env()
             t = infer_expr(self.expr, env, adts)
         except TypeError_ as err:
             return ("type-error", str(err))
@@ -122,6 +153,7 @@ class ProgramCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.promotions = 0
 
     def key_for(self, source: str) -> tuple:
         return (source_digest(source), self.backend, self.strategy_key)
@@ -133,6 +165,7 @@ class ProgramCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
+                entry.hot = True
                 self._entries.move_to_end(key)
                 return entry
             self.misses += 1
@@ -140,6 +173,7 @@ class ProgramCache:
         # unrelated requests.  A concurrent duplicate miss is benign —
         # last writer wins and both entries are equivalent.
         entry = self._build(key, source)
+        entry.owner = self
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -157,6 +191,10 @@ class ProgramCache:
         except Exception as err:
             return CachedProgram(key, source, None, str(err))
         return CachedProgram(key, source, expr, None)
+
+    def _count_promotion(self) -> None:
+        with self._lock:
+            self.promotions += 1
 
     def invalidate(self, source: str) -> bool:
         """Drop the entry for ``source``; True if one was cached."""
@@ -192,4 +230,5 @@ class ProgramCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
+                "promotions": self.promotions,
             }

@@ -982,11 +982,13 @@ class EvalService:
                 # The cached lowered program bakes the snapshot's
                 # (immutable) cells in and takes the running machine
                 # as an argument, so one compilation serves every
-                # fork.
-                program, env = (
-                    entry.code(self.snapshot.env, machine.strategy),
-                    (),
+                # fork.  Its tier (closure on first use, fused once
+                # the entry is hot) goes on the attempt span.
+                program, lowering, built = entry.lower(
+                    self.snapshot.env, machine.strategy
                 )
+                env = ()
+                builder.annotate(lowering=lowering, codegen=built)
             with builder.span("machine-run"):
                 # The governor's deadline base is its own clock read,
                 # taken *inside* the span, so span bookkeeping can

@@ -66,6 +66,14 @@ class ADTEnv:
                 env.add_decl(decl)
         return env
 
+    def copy(self) -> "ADTEnv":
+        """An independent environment with the same declarations
+        (entries are immutable, so the dicts are copied shallowly)."""
+        env = ADTEnv()
+        env.constructors = dict(self.constructors)
+        env.type_arity = dict(self.type_arity)
+        return env
+
     def add_decl(self, decl: DataDecl) -> None:
         if decl.name in self.type_arity:
             # Redeclaration with the same shape is tolerated (so the

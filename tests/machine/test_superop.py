@@ -14,7 +14,8 @@ import pytest
 from repro.api import compile_expr, observe_source
 from repro.machine import Machine, Normal, SuperMachine, observe
 from repro.machine.superop import (
-    _CODE_CACHE,
+    CODE_CACHE_SIZE,
+    _compile_fused,
     compile_super,
     load_profile,
     normalize_profile,
@@ -164,10 +165,29 @@ class TestCodeCache:
         machine = Machine(backend="super")
         env = machine_env(machine)
         compile_super(expr, env, machine.strategy)
-        size = len(_CODE_CACHE)
+        misses = _compile_fused.cache_info().misses
         other = Machine(backend="super")
         compile_super(expr, machine_env(other), other.strategy)
-        assert len(_CODE_CACHE) == size
+        assert _compile_fused.cache_info().misses == misses
+
+    def test_memo_is_bounded(self):
+        # A long-lived daemon compiles an open-ended stream of distinct
+        # programs; the code memo must stay at its bound, evicting the
+        # least recently used shapes.
+        from repro.fuzz.gen import generate_case
+        from repro.machine.snapshot import shared_snapshot
+
+        snapshot = shared_snapshot(backend="super")
+        machine, _ = snapshot.fork()
+        before = _compile_fused.cache_info().misses
+        seed = 0
+        while _compile_fused.cache_info().misses - before <= CODE_CACHE_SIZE:
+            case = generate_case(seed)
+            compile_super(case.expr, snapshot.env, machine.strategy)
+            seed += 1
+        info = _compile_fused.cache_info()
+        assert info.maxsize == CODE_CACHE_SIZE
+        assert info.currsize <= CODE_CACHE_SIZE
 
     def test_cached_code_still_gets_fresh_constants(self):
         # The cache keys code *objects* by source text; per-environment

@@ -3,8 +3,9 @@
 Pins the properties docs/SERVING.md advertises: sha256 × backend ×
 strategy keying, LRU bounding with oldest-first eviction, automatic
 invalidation on source edits (a changed source is a different key),
-negative caching of parse errors, and memoised lazy stages (compile,
-typecheck) that run at most once per entry.
+negative caching of parse errors, and memoised lazy stages (lowering
+in each tier, typecheck) that run at most once per entry.  The tiering
+itself is pinned in tests/serve/test_tiering.py.
 """
 
 import pytest
@@ -132,20 +133,45 @@ class TestCachedProgram:
     @pytest.mark.parametrize("backend", ["compiled", "super"])
     def test_code_compiles_once_and_is_shared_across_forks(self, backend):
         """The lowered artifact bakes the snapshot's frozen cells in,
-        so one compilation serves every fork of that snapshot — on the
-        compiled backend (closure trees) and the super backend (fused
-        frames) alike."""
+        so one compilation serves every fork of that snapshot — in
+        each tier: the closure tree an entry's first use builds, and
+        (super backend) the fused frames its first cache hit builds."""
         snapshot = shared_snapshot(backend=backend)
         cache = ProgramCache(
             backend=backend,
             strategy_key=snapshot.strategy_key(),
         )
+
+        def lower_twice(entry):
+            m1, _ = snapshot.fork()
+            m2, _ = snapshot.fork()
+            code, tier, built = entry.lower(snapshot.env, m1.strategy)
+            assert built
+            assert entry.lower(snapshot.env, m2.strategy) == (
+                code,
+                tier,
+                False,
+            )
+            assert str(m1.eval(code, ())) == str(m2.eval(code, ())) == "55"
+            return code, tier
+
         entry = cache.lookup("sum (enumFromTo 1 10)")
-        m1, _ = snapshot.fork()
-        m2, _ = snapshot.fork()
-        code = entry.code(snapshot.env, m1.strategy)
-        assert entry.code(snapshot.env, m2.strategy) is code
-        assert str(m1.eval(code, ())) == str(m2.eval(code, ()))
+        closure, tier = lower_twice(entry)
+        assert tier == "closure"
+        assert cache.lookup("sum (enumFromTo 1 10)") is entry
+        if backend == "super":
+            fused, tier = lower_twice(entry)
+            assert tier == "fused"
+            assert fused is not closure
+            assert cache.stats()["promotions"] == 1
+        else:
+            m, _ = snapshot.fork()
+            assert entry.lower(snapshot.env, m.strategy) == (
+                closure,
+                "closure",
+                False,
+            )
+            assert cache.stats()["promotions"] == 0
 
     def test_entry_shape(self):
         entry = CachedProgram(("k",), "1", object(), None)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.benchcompare import (
     DEFAULT_SEED_DIR,
     EXPERIMENT_SOURCES,
@@ -64,6 +66,27 @@ class TestCompare:
         (delta,) = compare_records(seed, grown).regressions
         assert delta.metric == "served_slow_ticks"
         assert compare_records(seed, shrunk).ok
+        assert compare_records(seed, seed).ok
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            "fused_compiles_first_pass",
+            "fused_compiles_second_pass",
+            "prelude_env_builds",
+        ],
+    )
+    def test_tiered_lowering_counters_fail_on_any_growth(self, metric):
+        row = {"workload": "cold-front-end", "backend": "super"}
+        counts = {
+            "fused_compiles_first_pass": 0,
+            "fused_compiles_second_pass": 35,
+            "prelude_env_builds": 1,
+        }
+        seed = {"E16": [{**row, **counts}]}
+        grown = {"E16": [{**row, **counts, metric: counts[metric] + 1}]}
+        (delta,) = compare_records(seed, grown).regressions
+        assert delta.metric == metric
         assert compare_records(seed, seed).ok
 
     def test_wallclock_fields_never_gate(self):
