@@ -1,20 +1,25 @@
-"""E18 — profile-guided superinstructions beat the closure backend.
+"""E18 — the super backend's two lowering tiers against the AST walker.
 
-The second-generation compiled backend (``Machine(backend="super")``,
-repro.machine.superop) fuses hot step sequences into single Python
-frames.  The headline claim of docs/PERFORMANCE.md's Superinstructions
-section: on the call-heavy fib workload the super backend is **≥5× the
-AST walker and ≥1.5× the closure backend**, while staying
-*observationally identical* — the same counter contract E13 gates for
-the compiled backend, extended to a third backend.
+``Machine(backend="super")`` (repro.machine.superop) runs programs in
+two tiers: the closure lowering (repro.machine.compile — slot-addressed
+Python closures, pruned captures, tuple frames, baked-in global cells,
+an explicit work-loop for tails), which a served program runs on first
+use, and fused frames (hot step sequences in single Python frames),
+which it runs once hot.  The claims of docs/PERFORMANCE.md: the closure
+tier is **≥2× the AST walker** on allocation- and application-heavy
+workloads, and on the call-heavy fib workload fused frames are **≥5×
+the AST walker and ≥1.5× the closure tier** — while all three stay
+*observationally identical*.
 
-Per workload, a fresh cold machine per rep on each of the three
-backends (compile cost inside the timed region, exactly as E13
-measures it); the full ``MachineStats`` snapshot is asserted equal
-across all three every rep.  Speedups are recorded in the BENCH_E18
-rows; the CI gates sit well below the claims (shared runners are
-noisy): super must stay ≥1.3× over the AST walker on every workload,
-and ≥1.2× over the compiled backend on fib.
+Per workload, a fresh cold machine per rep for each lowering (compile
+cost inside the timed region, as a client sees it); the full
+``MachineStats`` snapshot is asserted equal across all three every
+rep.  Speedups are recorded in the BENCH_E18 rows, whose field names
+predate the closure tier's folding into ``super``: ``compiled_*``
+means the closure tier.  The CI gates sit well below the claims
+(shared runners are noisy): the closure tier must stay ≥1.3× over the
+AST walker and fused frames ≥1.3× over it on every workload, and
+fused frames ≥1.2× over the closure tier on fib.
 
 Regenerates: the BENCH_E18 rows.
 """
@@ -23,60 +28,120 @@ import time
 
 import pytest
 
-from benchmarks.bench_compiled import (
-    E13_WORKLOADS,
-    _REPS,
-    _compile,
-    _run_once,
-)
-from benchmarks.conftest import bench_record
-from repro.api import compile_expr
-from repro.machine import Machine, Normal, observe
-from repro.obs import SpanProfiler
+from benchmarks.conftest import bench_record, compile_workload, run_on_machine
+from repro.api import compile_expr, compile_program
+from repro.lang.ast import Program
+from repro.machine import BACKENDS, Machine
+from repro.machine.compile import compile_top
+from repro.machine.eval import program_env
+from repro.machine.heap import Cell
+from repro.obs import NULL_SINK
 from repro.prelude.loader import machine_env
 
-# CI floors, deliberately below the recorded claims (≥5× AST / ≥1.5×
-# compiled on fib): a perf bar that flakes gets deleted.
+# The E1 shapes scaled up ~one order of magnitude, so wall-clock
+# dominates noise and the per-run compile cost is amortised the way a
+# real client would see it; still well under a second per run on the
+# AST walker.
+WORKLOADS = {
+    "fib": (
+        "let { fib = \\n -> if n < 2 then n "
+        "else fib (n - 1) + fib (n - 2) } in fib 17"
+    ),
+    "list-pipeline": (
+        "sum (map (\\x -> x * x) (filter (\\x -> x `mod` 2 == 0) "
+        "(enumFromTo 1 1600)))"
+    ),
+    "tree-fold": (
+        "let { build = \\n -> if n == 0 then Leaf 1 "
+        "else Node (build (n - 1)) (build (n - 1)) ; "
+        "total = \\t -> case t of { Leaf v -> v; "
+        "Node l r -> total l + total r } } in total (build 9)"
+    ),
+}
+
+TREE_DECLS = "data Tree = Leaf Int | Node Tree Tree\n"
+
+#: The closure tier: ``super`` running ``compile_top`` code.
+CLOSURE = "closure"
+
+# Best-of-N wall time: the minimum is the standard low-noise estimator
+# for a deterministic computation.
+_REPS = 3
+
+# CI floors, deliberately below the recorded claims (≥2× closure over
+# ast; ≥5× ast / ≥1.5× closure for fused frames on fib): a perf bar
+# that flakes gets deleted.
+_CI_FLOOR_CLOSURE_VS_AST = 1.3
 _CI_FLOOR_VS_AST = 1.3
-_CI_FLOOR_VS_COMPILED = 1.2
+_CI_FLOOR_VS_CLOSURE = 1.2
 
 
-def _best_of(compiled, backend: str):
-    best, stats, value = _run_once(compiled, backend)
+def _compile(name: str):
+    source = WORKLOADS[name]
+    if "Leaf" in source:
+        return compile_program(TREE_DECLS + "main = " + source)
+    return compile_expr(source)
+
+
+def _run_once(compiled, lowering: str, sink=None):
+    """One fresh-machine run; returns (seconds, stats_dict, value)."""
+    machine = Machine(
+        backend="super" if lowering == CLOSURE else lowering, sink=sink
+    )
+    env = machine_env(machine)
+    expr = compiled
+    if isinstance(compiled, Program):
+        env = program_env(compiled, machine, env)
+        expr = compiled.bind_map()["main"]
+    start = time.perf_counter()
+    if lowering == CLOSURE:
+        expr, env = compile_top(expr, env, machine.strategy), ()
+    if isinstance(compiled, Program):
+        value = Cell(expr, env).force(machine)
+    else:
+        value = machine.eval(expr, env)
+    elapsed = time.perf_counter() - start
+    return elapsed, machine.stats.snapshot().as_dict(), value
+
+
+def _best_of(compiled, lowering: str):
+    best, stats, value = _run_once(compiled, lowering)
     for _ in range(_REPS - 1):
-        elapsed, again, _v = _run_once(compiled, backend)
+        elapsed, again, _v = _run_once(compiled, lowering)
         assert again == stats  # deterministic: every rep, same counters
         best = min(best, elapsed)
     return best, stats, value
 
 
 class TestSuperSpeedup:
-    @pytest.mark.parametrize("name", sorted(E13_WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_triple_speedup_and_counter_parity(self, name):
         compiled = _compile(name)
         times, stats, values = {}, {}, {}
-        for backend in ("ast", "compiled", "super"):
-            times[backend], stats[backend], values[backend] = _best_of(
-                compiled, backend
+        for lowering in ("ast", CLOSURE, "super"):
+            times[lowering], stats[lowering], values[lowering] = _best_of(
+                compiled, lowering
             )
 
-        # The counter contract across all three backends: not "close",
-        # *equal* — every step, allocation, force, raise, prim-op and
-        # the force-depth high-water mark.
-        assert stats["compiled"] == stats["ast"]
+        # The counter contract across all three lowerings: not
+        # "close", *equal* — every step, allocation, force, raise,
+        # prim-op and the force-depth high-water mark.
+        assert stats[CLOSURE] == stats["ast"]
         assert stats["super"] == stats["ast"]
+        assert str(values[CLOSURE]) == str(values["ast"])
         assert str(values["super"]) == str(values["ast"])
 
+        closure_vs_ast = times["ast"] / times[CLOSURE]
         vs_ast = times["ast"] / times["super"]
-        vs_compiled = times["compiled"] / times["super"]
+        vs_closure = times[CLOSURE] / times["super"]
         bench_record(
             "E18",
             workload=name,
             ast_seconds=round(times["ast"], 6),
-            compiled_seconds=round(times["compiled"], 6),
+            compiled_seconds=round(times[CLOSURE], 6),
             super_seconds=round(times["super"], 6),
             speedup_vs_ast=round(vs_ast, 2),
-            speedup_vs_compiled=round(vs_compiled, 2),
+            speedup_vs_compiled=round(vs_closure, 2),
             steps=stats["ast"]["steps"],
             allocations=stats["ast"]["allocations"],
             thunks_forced=stats["ast"]["thunks_forced"],
@@ -85,42 +150,42 @@ class TestSuperSpeedup:
                 "(CI floors 1.3× / 1.2×)"
             ),
         )
+        assert closure_vs_ast >= _CI_FLOOR_CLOSURE_VS_AST, (
+            f"{name}: closure tier only {closure_vs_ast:.2f}× over ast "
+            f"(ast {times['ast']:.4f}s vs closure "
+            f"{times[CLOSURE]:.4f}s)"
+        )
         assert vs_ast >= _CI_FLOOR_VS_AST, (
             f"{name}: super backend only {vs_ast:.2f}× over ast "
             f"(ast {times['ast']:.4f}s vs super {times['super']:.4f}s)"
         )
         if name == "fib":
-            assert vs_compiled >= _CI_FLOOR_VS_COMPILED, (
-                f"fib: super backend only {vs_compiled:.2f}× over "
-                f"compiled (compiled {times['compiled']:.4f}s vs "
+            assert vs_closure >= _CI_FLOOR_VS_CLOSURE, (
+                f"fib: fused frames only {vs_closure:.2f}× over the "
+                f"closure tier (closure {times[CLOSURE]:.4f}s vs "
                 f"super {times['super']:.4f}s)"
             )
 
 
-class TestProfileGuidedRun:
-    """The profile loop the CLI's ``--profile-in`` drives: record a
-    folded profile of the workload, feed it back as the heat map, and
-    the guided run keeps the exact counter contract while fusing only
-    the measured-hot regions."""
+class TestTracingIsFreeWhenOff:
+    """E1b extended to both lowering tiers: no sink and the null sink
+    run the identical step sequence — the tick fast path is one
+    increment and one compare in closure and fused code alike."""
 
-    def test_profiled_fib_keeps_counters(self):
-        source = E13_WORKLOADS["fib"]
-        profiler = SpanProfiler(decisions=True)
-        machine = Machine(backend="ast")
-        env = machine_env(machine)
-        out = observe(
-            compile_expr(source), env=env, machine=machine, sink=profiler
-        )
-        assert isinstance(out, Normal)
-        reference = machine.stats.snapshot().as_dict()
+    @pytest.mark.parametrize("lowering", [CLOSURE, "super"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_null_sink_step_parity(self, name, lowering):
+        compiled = _compile(name)
+        _t, bare, _v = _run_once(compiled, lowering)
+        _t, null, _v = _run_once(compiled, lowering, sink=NULL_SINK)
+        assert null == bare
 
-        guided = Machine(
-            backend="super", profile=profiler.folded_lines()
-        )
-        genv = machine_env(guided)
-        gout = observe(compile_expr(source), env=genv, machine=guided)
-        assert isinstance(gout, Normal)
-        assert str(gout.value) == str(out.value)
-        assert guided.stats.snapshot().as_dict() == reference
-        # The profile marks the recursive region hot, so fusion fired.
-        assert sum(guided.fusion_report().values()) > 0
+
+@pytest.mark.benchmark(group="E18-backends")
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bench_backends(benchmark, backend, workload):
+    """pytest-benchmark timings for both backends over the shared E1
+    workload set (the E18 set is sized for one-shot wall-clock runs;
+    these rows give the calibrated per-op comparison)."""
+    compiled = compile_workload(workload)
+    benchmark(lambda: run_on_machine(compiled, backend=backend))

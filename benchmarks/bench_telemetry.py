@@ -38,7 +38,7 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_record
-from repro.machine import Machine
+from repro.machine import BACKENDS, Machine
 from repro.obs.telemetry import NullRegistry, histogram_stats, parse_exposition
 from repro.serve import EvalService, ServiceConfig
 from repro.serve.governor import DEADLINE_STRIDE
@@ -51,7 +51,6 @@ E19_WORKLOADS = {
     "sumsq": "sum (map (\\x -> x * x) (enumFromTo 1 50))",
 }
 
-_BACKENDS = ("ast", "compiled", "super")
 _REQUESTS = 9
 
 
@@ -75,7 +74,7 @@ def _drive(service: EvalService, source: str):
 
 
 class TestTelemetryIsFreeWhenOff:
-    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(E19_WORKLOADS))
     def test_step_parity_and_body_parity(self, backend, name):
         """Telemetry off vs on: identical machine counters (0% step
@@ -118,7 +117,7 @@ FIB15 = (
 )
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_served_slow_ticks(backend, monkeypatch):
     """One served request takes the slow tick at the governor's
     deadline stride (plus once per trip), not at every step."""
@@ -150,7 +149,7 @@ class TestTelemetryOnAccounting:
     """The on-path must earn its keep: the request histogram's count
     equals ``requests_total`` exactly, on every backend."""
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_histogram_count_matches_requests_total(self, backend):
         service = _service(backend, telemetry=True)
         for source in ("1 + 2", "head []", "(", "3 * 3"):

@@ -4,7 +4,7 @@ The tentpole claim of docs/SERVING.md: serving a repeat program from
 the warm path (fork an immutable prelude snapshot, reuse the cached
 front-end artifacts) is an order of magnitude faster than the cold
 construction (rebuild and re-freeze the prelude heap, re-parse the
-source, re-compile on the compiled backend) — while the response
+source, re-lower on the ``super`` backend) — while the response
 bodies stay **byte-identical**.  Both halves are measured here:
 
 * per-request p50 latency against a warm (``warm=True``) and a cold
@@ -42,6 +42,7 @@ import pytest
 import repro.api as api
 import repro.machine.superop as superop
 from benchmarks.conftest import bench_record
+from repro.machine import BACKENDS
 from repro.serve import EvalService, ServiceConfig
 
 #: Repeat-program workloads.  ``arith``/``zipwith`` are dominated by
@@ -56,13 +57,13 @@ E16_WORKLOADS = {
     "sumsq": "sum (map (\\x -> x * x) (enumFromTo 1 50))",
 }
 
-#: Workloads the ≥10× compiled-backend claim is made (and gated) on.
+#: Workloads the ≥10× super-backend claim is made (and gated) on.
 _HEADLINE = ("arith", "zipwith")
 
 _WARM_REQUESTS = 15
 _COLD_REQUESTS = 7
 
-#: CI floor for the headline compiled rows — far below the recorded
+#: CI floor for the headline super rows — far below the recorded
 #: ≥10×, far above noise (a flaking perf bar gets deleted).
 _CI_SPEEDUP_FLOOR = 3.0
 
@@ -84,7 +85,7 @@ def _p50(service: EvalService, source: str, requests: int) -> float:
 
 
 class TestWarmServeSpeedup:
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(E16_WORKLOADS))
     def test_p50_speedup_and_body_parity(self, backend, name):
         source = E16_WORKLOADS[name]
@@ -106,7 +107,7 @@ class TestWarmServeSpeedup:
             cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
         )
 
-        headline = backend == "compiled" and name in _HEADLINE
+        headline = backend == "super" and name in _HEADLINE
         bench_record(
             "E16",
             workload=name,
@@ -117,7 +118,7 @@ class TestWarmServeSpeedup:
             divergences=divergences,
             steps=warm_body["stats"]["steps"],
             cache_hits=warm.health()["cache"]["hits"],
-            target="≥10× (compiled, setup-dominated)"
+            target="≥10× (super, setup-dominated)"
             if headline
             else "reported",
         )
@@ -134,7 +135,7 @@ class TestWarmServeSpeedup:
                 f"(warm {warm_p50:.6f}s vs cold {cold_p50:.6f}s)"
             )
 
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_amortises_admission(self, backend):
         """One batch of N repeat programs vs N single requests: the
         batch pays admission/breaker once and walks the cache N times.

@@ -9,7 +9,7 @@ modules remain importable for finer control.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.denote import (
     DenoteContext,
@@ -103,42 +103,20 @@ def denote_source(
     return denote(expr, env, ctx)
 
 
-def _machine_kwargs(backend: str, profile) -> Dict[str, object]:
-    """The extra Machine() kwargs a profile implies.  Only the
-    superinstruction backend consumes one (docs/PERFORMANCE.md)."""
-    if profile is None:
-        return {}
-    if backend != "super":
-        raise ValueError(
-            f"profile-guided fusion requires backend='super', "
-            f"got {backend!r}"
-        )
-    return {"profile": profile}
-
-
 def observe_source(
     source: str,
     strategy: Optional[Strategy] = None,
     fuel: int = 2_000_000,
     deep: bool = False,
     backend: str = "ast",
-    profile=None,
 ) -> Outcome:
     """Run an expression on the operational machine, prelude in scope.
 
-    ``backend="compiled"`` selects the compile-to-closures evaluator
-    and ``backend="super"`` the profile-guided superinstruction
-    backend (docs/PERFORMANCE.md); observations are identical, only
-    speed differs.  ``profile`` (super only) narrows fusion to
-    profile-hot spans — a heat map, a ``.folded`` path, or folded
-    lines."""
+    ``backend="super"`` selects the superinstruction backend
+    (docs/PERFORMANCE.md); observations are identical, only speed
+    differs."""
     expr = compile_expr(source)
-    machine = Machine(
-        strategy=strategy,
-        fuel=fuel,
-        backend=backend,
-        **_machine_kwargs(backend, profile),
-    )
+    machine = Machine(strategy=strategy, fuel=fuel, backend=backend)
     env = machine_env(machine)
     return observe(expr, env=env, machine=machine, deep=deep)
 
@@ -151,7 +129,6 @@ def run_io_source(
     timeout_as_exception: bool = False,
     events: Optional[EventPlan] = None,
     backend: str = "ast",
-    profile=None,
 ) -> IOResult:
     """Perform an ``IO`` expression, prelude in scope."""
     expr = compile_expr(source)
@@ -160,7 +137,6 @@ def run_io_source(
         fuel=fuel,
         event_plan=events.as_dict() if events else None,
         backend=backend,
-        **_machine_kwargs(backend, profile),
     )
     env = machine_env(machine)
     executor = IOExecutor(
@@ -181,7 +157,6 @@ def run_io_program(
     events: Optional[EventPlan] = None,
     typecheck: bool = False,
     backend: str = "ast",
-    profile=None,
 ) -> IOResult:
     """Compile a module and perform its ``main`` (or another entry)."""
     program = compile_program(source, typecheck=typecheck)
@@ -190,7 +165,6 @@ def run_io_program(
         fuel=fuel,
         event_plan=events.as_dict() if events else None,
         backend=backend,
-        **_machine_kwargs(backend, profile),
     )
     env = machine_program_env(program, machine, machine_env(machine))
     executor = IOExecutor(

@@ -1,7 +1,7 @@
 """``repro bench`` — re-run the claim benchmarks and gate on drift.
 
 The benchmark suite regenerates the paper's *claims* (E1, E1b, E2,
-E13) and records each measured row into ``BENCH_<experiment>.json``
+E16, E18, ...) and records each measured row into ``BENCH_<experiment>.json``
 (see ``benchmarks/conftest.py``).  This module closes the loop: run
 the suite into a fresh directory, diff the fresh records against the
 checked-in seeds (``benchmarks/records/``), print a delta table, and
@@ -30,7 +30,6 @@ EXPERIMENT_SOURCES: Dict[str, str] = {
     "E1": "benchmarks/bench_no_cost.py",
     "E1b": "benchmarks/bench_trace_overhead.py",
     "E2": "benchmarks/bench_explicit_encoding.py",
-    "E13": "benchmarks/bench_compiled.py",
     "E16": "benchmarks/bench_warm_serve.py",
     "E18": "benchmarks/bench_superop.py",
     "E19": "benchmarks/bench_telemetry.py",

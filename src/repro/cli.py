@@ -24,12 +24,12 @@ Examples
     python -m repro law    'a + b' 'b + a' --semantics fixed-order
     python -m repro run    examples/hello.hs --stdin "x"
     python -m repro profile 'sum [1, 2, 3]' --trace out.jsonl --format json
-    python -m repro profile 'fib 12' --flame out.folded --backend compiled
+    python -m repro profile 'fib 12' --flame out.folded --backend super
     python -m repro explain examples/two_faults.hs
-    python -m repro bench  --experiments E1b,E13
+    python -m repro bench  --experiments E1b,E18
     python -m repro fuzz   --iterations 500 --seed 0 --format json
     python -m repro fuzz   --replay tests/fuzz/corpus/regressions.jsonl
-    python -m repro chaos  'fib 10' --backend both --sample 100
+    python -m repro chaos  'fib 10' --backend all --sample 100
     python -m repro serve  --port 8080 --max-concurrency 4
     python -m repro top    --url http://127.0.0.1:8080 --interval 1
 """
@@ -98,16 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         default="ast",
-        choices=["ast", "compiled", "super"],
+        choices=["ast", "super"],
         help="machine backend (docs/PERFORMANCE.md)",
-    )
-    run.add_argument(
-        "--profile-in",
-        default=None,
-        metavar="PROFILE.folded",
-        help="folded-stacks profile (from `repro profile --flame`) "
-        "narrowing superinstruction fusion to hot spans; requires "
-        "--backend super",
     )
 
     ev = sub.add_parser("eval", help="evaluate on the lazy machine")
@@ -118,16 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--backend",
         default="ast",
-        choices=["ast", "compiled", "super"],
+        choices=["ast", "super"],
         help="machine backend (docs/PERFORMANCE.md)",
-    )
-    ev.add_argument(
-        "--profile-in",
-        default=None,
-        metavar="PROFILE.folded",
-        help="folded-stacks profile (from `repro profile --flame`) "
-        "narrowing superinstruction fusion to hot spans; requires "
-        "--backend super",
     )
 
     de = sub.add_parser("denote", help="print the denotation")
@@ -212,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pro.add_argument(
         "--backend",
         default="ast",
-        choices=["ast", "compiled", "super"],
+        choices=["ast", "super"],
         help="machine backend (docs/PERFORMANCE.md)",
     )
     pro.add_argument(
@@ -256,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument(
         "--backend",
         default="ast",
-        choices=["ast", "compiled", "super"],
+        choices=["ast", "super"],
         help="machine backend (docs/PERFORMANCE.md)",
     )
 
@@ -264,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="re-run claim benchmarks, diff against checked-in seeds",
         description=(
-            "Run the E1/E1b/E2/E13/E16/E18 benchmark files into a fresh "
+            "Run the E1/E1b/E2/E16/E18 benchmark files into a fresh "
             "records directory, compare the BENCH_*.json rows against "
             "benchmarks/records/, and exit 1 when a deterministic "
             "metric regressed by more than 20%% — or at all, for "
@@ -275,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     be.add_argument(
         "--experiments",
         default="",
-        help="comma-separated subset (e.g. E1b,E13); default all",
+        help="comma-separated subset (e.g. E1b,E18); default all",
     )
     be.add_argument(
         "--seed-dir",
@@ -405,10 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument(
         "--backend",
-        default="both",
-        choices=["ast", "compiled", "super", "both", "all"],
-        help="backend(s) to sweep: both = ast+compiled, "
-        "all = every backend",
+        default="all",
+        choices=["ast", "super", "all"],
+        help="backend(s) to sweep: all = every backend",
     )
     ch.add_argument("--fuel", type=int, default=2_000_000)
     ch.add_argument("--limit", type=int, default=None,
@@ -495,21 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_profile_in(args) -> Optional[int]:
-    """--profile-in only means something to the super backend."""
-    if args.profile_in is not None and args.backend != "super":
-        print(
-            "error: --profile-in requires --backend super",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
 def _cmd_run(args) -> int:
-    status = _check_profile_in(args)
-    if status is not None:
-        return status
     with open(args.file) as handle:
         source = handle.read()
     result = run_io_program(
@@ -520,7 +489,6 @@ def _cmd_run(args) -> int:
         fuel=args.fuel,
         typecheck=args.typecheck,
         backend=args.backend,
-        profile=args.profile_in,
     )
     sys.stdout.write(result.stdout)
     if result.status == "exception":
@@ -533,32 +501,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    status = _check_profile_in(args)
-    if status is not None:
-        return status
     outcome = observe_source(
         args.expr,
         strategy=_strategy(args.strategy),
         fuel=args.fuel,
         deep=args.deep,
         backend=args.backend,
-        profile=args.profile_in,
     )
     from repro.machine import Machine, Normal
     from repro.machine.observe import show_value
 
     if isinstance(outcome, Normal):
         # Re-run to render with a machine in hand (outputs lazily).
-        extra = (
-            {"profile": args.profile_in}
-            if args.profile_in is not None
-            else {}
-        )
         machine = Machine(
             strategy=_strategy(args.strategy),
             fuel=args.fuel,
             backend=args.backend,
-            **extra,
         )
         from repro.prelude.loader import machine_env
 
@@ -931,14 +889,9 @@ def _cmd_chaos(args) -> int:
         sweep_axis,
     )
 
-    if args.backend == "both":
-        backends = ["ast", "compiled"]
-    elif args.backend == "all":
-        from repro.machine import BACKENDS
+    from repro.machine import BACKENDS
 
-        backends = list(BACKENDS)
-    else:
-        backends = [args.backend]
+    backends = list(BACKENDS) if args.backend == "all" else [args.backend]
     axes = list(SWEEP_AXES) if args.sweep == "all" else [args.sweep]
 
     if args.self_test:

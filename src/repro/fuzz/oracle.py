@@ -7,16 +7,17 @@ lane's outcome is compared against a *reference*:
   the reference; lanes are the lazy machine under every standard
   strategy plus a per-case ``Shuffled`` with a recorded seed, the
   explicit ``ExVal`` encoding (Section 2), the fixed-order baseline
-  (Sections 3.4/6), and the compile-to-closures and superinstruction
-  backends (docs/PERFORMANCE.md) under the default strategy —
-  classified against the denotation exactly like the AST machine, so
-  any behavioural drift in either compiler surfaces as a divergence
-  here;
+  (Sections 3.4/6), and the ``super`` backend's two lowering tiers —
+  the closure lowering a served program runs on first use and the
+  fused frames it runs once hot (docs/PERFORMANCE.md) — under the
+  default strategy, classified against the denotation exactly like the
+  AST machine, so any behavioural drift in either lowering surfaces as
+  a divergence here;
 * IO programs — the left-to-right executor run is the reference and
   the other strategies are the lanes (the denotational reference for
   IO is the Section 4.4 LTS, already property-tested in
-  ``tests/io/test_transition.py``), plus the compiled and super
-  backends under the reference strategy.
+  ``tests/io/test_transition.py``), plus the two ``super`` tiers under
+  the reference strategy.
 
 Each comparison lands on a three-point lattice:
 
@@ -191,8 +192,6 @@ class OracleConfig:
     exval_fuel: int = 600_000
     io_fuel: int = 400_000
     extra_shuffled: bool = True
-    compiled_lane: bool = True
-    super_lane: bool = True
     warm_lane: bool = True
 
     def strategies(self, seed: int) -> Sequence[Strategy]:
@@ -232,9 +231,19 @@ def _value_observation(lane: str, value: Value,
     return Observation(lane, "ok", str(value), seed=seed)
 
 
+def _closure_tier(expr: Expr, env, machine: Machine):
+    """``(code, frame)``: ``expr`` in the closure lowering, run on a
+    ``super`` machine exactly as a served program's first use runs it
+    (``CachedProgram.lower``)."""
+    from repro.machine.compile import compile_top
+
+    return compile_top(expr, env, machine.strategy), ()
+
+
 def _machine_observation(
     expr: Expr, strategy: Strategy, fuel: int, sink,
     lane: Optional[str] = None, backend: str = "ast",
+    closure: bool = False,
 ) -> Observation:
     machine = Machine(strategy=strategy, fuel=fuel, sink=sink,
                       backend=backend)
@@ -243,6 +252,8 @@ def _machine_observation(
         lane = f"machine:{strategy.name}"
     seed = getattr(strategy, "seed", None)
     try:
+        if closure:
+            expr, env = _closure_tier(expr, env, machine)
         value = machine.eval(expr, env)
     except (ObjRaise, AsyncInterrupt) as err:
         return Observation(lane, "exc", str(err.exc), seed=seed,
@@ -567,6 +578,7 @@ def _classify_fixed_lane(
 def _io_observation(
     case: FuzzCase, strategy: Strategy, fuel: int, sink,
     lane: Optional[str] = None, backend: str = "ast",
+    closure: bool = False,
 ) -> Observation:
     machine = Machine(strategy=strategy, fuel=fuel, sink=sink,
                       backend=backend)
@@ -576,7 +588,10 @@ def _io_observation(
     seed = getattr(strategy, "seed", None)
     executor = IOExecutor(machine=machine, stdin=case.stdin)
     try:
-        result: IOResult = executor.run_cell(Cell(case.expr, env))
+        expr = case.expr
+        if closure:
+            expr, env = _closure_tier(expr, env, machine)
+        result: IOResult = executor.run_cell(Cell(expr, env))
     except IORunError as err:
         return Observation(lane, "skipped", f"ill-formed IO: {err}",
                            seed=seed)
@@ -689,35 +704,25 @@ def _run_pure_oracle(
         timed(lambda: _classify_machine_lane(denoted, _machine_observation(
             case.expr, strategy, config.machine_fuel, sink, lane
         )))
-    if config.compiled_lane:
-        # The compiled backend runs under the *default* strategy, so it
-        # must land on the same verdict as the machine:left-to-right
-        # lane above — the differential check on the compiler itself.
-        timed(lambda: _classify_machine_lane(denoted, _machine_observation(
-            case.expr, strategies[0], config.machine_fuel, sink,
-            "machine:compiled", backend="compiled",
-        )))
-    if config.super_lane:
-        # Same differential again for the superinstruction backend:
-        # fused frames must not change the observed member of the
-        # exception set (docs/PERFORMANCE.md, "Superinstructions").
-        timed(lambda: _classify_machine_lane(denoted, _machine_observation(
-            case.expr, strategies[0], config.machine_fuel, sink,
-            "machine:super", backend="super",
-        )))
+    # Both super tiers run under the *default* strategy, so each must
+    # land on the same verdict as the machine:left-to-right lane above
+    # — the differential check on the two lowerings: neither closures
+    # nor fused frames may change the observed member of the exception
+    # set (docs/PERFORMANCE.md, "Superinstructions").
+    timed(lambda: _classify_machine_lane(denoted, _machine_observation(
+        case.expr, strategies[0], config.machine_fuel, sink,
+        "machine:closure", backend="super", closure=True,
+    )))
+    timed(lambda: _classify_machine_lane(denoted, _machine_observation(
+        case.expr, strategies[0], config.machine_fuel, sink,
+        "machine:super", backend="super",
+    )))
     if config.warm_lane:
         # The warm serving path's parity contract, checked as its own
         # differential: fork-vs-cold must be byte-identical, not just
         # semantically equivalent.
         timed(lambda: _classify_warm_lane(case.expr, config, "ast"))
-        if config.compiled_lane:
-            timed(
-                lambda: _classify_warm_lane(case.expr, config, "compiled")
-            )
-        if config.super_lane:
-            timed(
-                lambda: _classify_warm_lane(case.expr, config, "super")
-            )
+        timed(lambda: _classify_warm_lane(case.expr, config, "super"))
     timed(lambda: _classify_exval_lane(case.expr, denoted, config, sink))
     timed(lambda: _classify_fixed_lane(case.expr, denoted, config, sink))
     return OracleReport(case, reference, comparisons, lane_seconds)
@@ -750,19 +755,17 @@ def _run_io_oracle(
         timed(lambda: _classify_io_lane(reference, _io_observation(
             case, strategy, config.io_fuel, sink, lane
         )))
-    if config.compiled_lane:
-        # Same strategy as the reference run, different evaluator: any
-        # disagreement (beyond §3.5's exception-choice refinement) is a
-        # compiler bug, not a strategy effect.
-        timed(lambda: _classify_io_lane(reference, _io_observation(
-            case, strategies[0], config.io_fuel, sink, "io:compiled",
-            backend="compiled",
-        )))
-    if config.super_lane:
-        timed(lambda: _classify_io_lane(reference, _io_observation(
-            case, strategies[0], config.io_fuel, sink, "io:super",
-            backend="super",
-        )))
+    # Same strategy as the reference run, different evaluator: any
+    # disagreement (beyond §3.5's exception-choice refinement) is a
+    # lowering bug, not a strategy effect.
+    timed(lambda: _classify_io_lane(reference, _io_observation(
+        case, strategies[0], config.io_fuel, sink, "io:closure",
+        backend="super", closure=True,
+    )))
+    timed(lambda: _classify_io_lane(reference, _io_observation(
+        case, strategies[0], config.io_fuel, sink, "io:super",
+        backend="super",
+    )))
     return OracleReport(case, reference, comparisons, lane_seconds)
 
 

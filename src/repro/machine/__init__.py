@@ -23,7 +23,6 @@ from repro.machine.strategy import (
     Strategy,
 )
 from repro.machine.eval import BACKENDS, Machine, MachineStats, StatsSnapshot
-from repro.machine.compile import CompiledMachine
 from repro.machine.superop import SuperMachine
 from repro.machine.frames import CClosure
 from repro.machine.observe import (
@@ -40,7 +39,6 @@ __all__ = [
     "BACKENDS",
     "CClosure",
     "Cell",
-    "CompiledMachine",
     "Diverged",
     "Exceptional",
     "LeftToRight",

@@ -1,8 +1,11 @@
-"""Compile-to-closures backend: the lazy machine's fast path.
+"""The closure lowering: the ``super`` backend's first tier.
 
-``Machine(backend="compiled")`` lowers each expression ONCE into a tree
-of Python closures before running it, instead of re-``isinstance``-
-dispatching on every AST node at every step.  The pipeline:
+:func:`compile_top` lowers an expression ONCE into a tree of Python
+closures, instead of re-``isinstance``-dispatching on every AST node at
+every step.  A served program runs this code on first use; the program
+cache replaces it with fused frames (repro.machine.superop, which
+subclasses :class:`_Compiler`) once the program is hot
+(repro.serve.cache).  The pipeline:
 
 * a **resolver** computes, at each binder, the free variables of the
   scope being built and assigns every binding a fixed slot index;
@@ -20,7 +23,7 @@ dispatching on every AST node at every step.  The pipeline:
 * the **driver is an explicit work-loop**: application, ``let`` and
   case-alternative *tails* return a ``(code, frame)`` continuation to
   :func:`_run` instead of recursing, so spine-tail-recursive object
-  programs use O(1) Python stack and the compiled path does not need
+  programs use O(1) Python stack and the lowered path does not need
   the AST backend's 200k ``sys.setrecursionlimit`` bump.
 
 The observable contract is the AST backend's, **exactly**: the same
@@ -38,8 +41,9 @@ slice gate — needs), checks its allocations against the allocation
 watermark, and guards emission with ``_tracing``, just like the
 interpreter.
 
-``tests/machine/test_backends.py`` pins outcome + counter parity and
-``benchmarks/bench_compiled.py`` (E13) records the speedup.
+``tests/machine/test_backends.py`` pins outcome + counter parity for
+the closure tier and ``benchmarks/bench_superop.py`` (E18) records its
+speedup over the AST walker.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ Code = Callable[["Machine", tuple], object]
 def _run(machine: Machine, code: Code, frame) -> Value:
     """The work-loop.  Tails (application bodies, let bodies, case-alt
     bodies, ``seq``'s second argument) come back as ``(code, frame)``
-    pairs and are entered iteratively — the compiled analogue of the
+    pairs and are entered iteratively — the lowered analogue of the
     interpreter's ``continue`` into its dispatch loop, minus the
     Python stack frame per step.  Hot generated code inlines this loop
     at each nested-evaluation site; this function is the entry point
@@ -472,7 +476,7 @@ class _Compiler:
         """Compile one alternative to ``try_alt(m, f, scrut)`` returning
         ``None`` on mismatch or a ``(body_code, frame)`` continuation on
         match.  Non-binding alternatives reuse the incoming frame — the
-        compiled mirror of the interpreter skipping its env copy when
+        lowered mirror of the interpreter skipping its env copy when
         the binding dict is empty."""
         pattern, body = alt.pattern, alt.body
 
@@ -892,53 +896,3 @@ def compile_top(
     binding is compiled at most once per machine."""
     return _Compiler(glob or {}, strategy).compile(expr, {})
 
-
-class CompiledMachine(Machine):
-    """The ``backend="compiled"`` machine.
-
-    Everything observable — heap cells, stats, sinks, strategies,
-    primitive semantics, exception conversion — is inherited from
-    :class:`Machine`; only *how expressions run* differs.  ``eval``
-    dispatches on what it is handed: an AST :class:`Expr` (with a dict
-    environment) is lowered by :func:`compile_top` first; an
-    already-compiled code object (with a frame) — the payload of cells
-    this backend allocates — enters the work-loop directly.
-    """
-
-    def __init__(
-        self,
-        strategy=None,
-        fuel: int = 2_000_000,
-        detect_blackholes: bool = True,
-        event_plan=None,
-        sink=None,
-        *,
-        backend: str = "compiled",
-    ) -> None:
-        if backend != "compiled":
-            raise ValueError(
-                f"CompiledMachine only supports backend='compiled', "
-                f"got {backend!r}"
-            )
-        super().__init__(
-            strategy,
-            fuel,
-            detect_blackholes,
-            event_plan,
-            sink,
-            backend="compiled",
-        )
-
-    def eval(self, expr, env) -> Value:
-        if isinstance(expr, Expr):
-            expr, env = compile_top(expr, env, self.strategy), ()
-        # _run, inlined: eval is the per-force entry point (Cell.force
-        # calls it), so one fewer Python frame matters here.
-        result = expr(self, env)
-        while result.__class__ is tuple:
-            code, frame = result
-            result = code(self, frame)
-        return result
-
-    def bind_cell(self, fn, arg_cell: Cell) -> Cell:
-        return Cell(fn.code, (arg_cell,) + fn.captures)

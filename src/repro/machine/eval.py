@@ -69,7 +69,7 @@ from repro.obs.sinks import TraceSink, is_live
 
 Env = Dict[str, Cell]
 
-BACKENDS = ("ast", "compiled", "super")
+BACKENDS = ("ast", "super")
 
 _MIN_RECURSION_LIMIT = 200_000
 
@@ -83,7 +83,7 @@ def _ensure_recursion_headroom() -> None:
 
 
 # Lazy IO constructors: primop name -> VIO tag.  Shared with the
-# compiled backend (repro.machine.compile) so the two stay in lockstep.
+# closure lowering (repro.machine.compile) so the two stay in lockstep.
 _IO_TAGS = {
     "returnIO": "return",
     "bindIO": "bind",
@@ -234,25 +234,20 @@ class Machine:
         same instruction sequence as a sink-less machine ("tracing is
         free when off" — benchmarks/bench_trace_overhead.py).
     backend:
-        ``"ast"`` (default) walks the AST directly; ``"compiled"``
-        lowers each expression once to a tree of Python closures over
-        slot-addressed frames (repro.machine.compile) before running
-        it; ``"super"`` additionally fuses hot step sequences into
-        single Python frames (repro.machine.superop), checking
-        interrupts at every virtual step boundary.  All backends
-        satisfy the same observation contract — identical outcomes,
-        counters and trace events (docs/PERFORMANCE.md,
-        tests/machine/test_backends.py).
+        ``"ast"`` (default) walks the AST directly; ``"super"``
+        lowers each expression once to Python code over slot-addressed
+        frames, fusing recurring step sequences into single Python
+        frames (repro.machine.superop) and checking interrupts at every
+        virtual step boundary.  It also runs code from the plain
+        closure lowering (repro.machine.compile), the first tier of a
+        served program.  Both backends satisfy the same observation
+        contract — identical outcomes, counters and trace events
+        (docs/PERFORMANCE.md, tests/machine/test_backends.py).
     """
 
     def __new__(cls, *args, **kwargs):
         if cls is Machine:
-            backend = kwargs.get("backend", "ast")
-            if backend == "compiled":
-                from repro.machine.compile import CompiledMachine
-
-                return super().__new__(CompiledMachine)
-            if backend == "super":
+            if kwargs.get("backend", "ast") == "super":
                 from repro.machine.superop import SuperMachine
 
                 return super().__new__(SuperMachine)
@@ -274,7 +269,7 @@ class Machine:
             )
         self.backend = backend
         if backend == "ast":
-            # The compiled backend runs tails in an explicit work-loop
+            # The lowered backend runs tails in an explicit work-loop
             # and needs no extra Python stack; only the tree-walker
             # recurses per spine node.
             _ensure_recursion_headroom()
@@ -445,7 +440,7 @@ class Machine:
 
     def _tick(self) -> None:
         # Hot path: one increment and one (usually false) compare.  The
-        # compiled backends inline this exact sequence per node, so all
+        # lowered backend inlines this exact sequence per node, so all
         # backends count steps identically.
         self.stats.steps += 1
         if self.stats.steps > self._watch:

@@ -1,10 +1,10 @@
-"""Slot-addressed frames and pruned closures for the compiled backend.
+"""Slot-addressed frames and pruned closures for the ``super`` backend.
 
 The AST interpreter represents an environment as a string-keyed dict
 and copies the *whole* dict on every application and ``let`` — so each
 call pays for every binding in scope (including the ~40 prelude
-entries), whether the body mentions it or not.  The compiled backend
-(:mod:`repro.machine.compile`) replaces that with *frames*: flat
+entries), whether the body mentions it or not.  The lowered code
+(:mod:`repro.machine.compile`, :mod:`repro.machine.superop`) replaces that with *frames*: flat
 tuples of heap cells, indexed by slot numbers the resolver assigns at
 compile time.
 
@@ -39,7 +39,7 @@ class CClosure(VFun):
     function-ness (the IO executor, ``fix``, the fuzz oracle's
     ``ok-fun`` classification) treats both backends' functions alike.
     The AST fields ``body``/``env`` are ``None`` here; application goes
-    through ``Machine.bind_cell`` or the compiled App code, never
+    through ``Machine.bind_cell`` or the lowered App code, never
     through field poking.
 
     Frame convention: the body code runs on ``(arg,) + captures``.

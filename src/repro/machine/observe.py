@@ -120,7 +120,7 @@ def observe(
         machine.attach_provenance(ProvenanceRecorder())
     try:
         # The evaluator never mutates the caller's env dict (App/Let
-        # copy-on-extend; the compiled backend only reads it), so no
+        # copy-on-extend; the ``super`` backend only reads it), so no
         # defensive copy is needed here.
         value = machine.eval(expr, env if env is not None else {})
         if deep:

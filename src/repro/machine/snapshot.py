@@ -2,7 +2,7 @@
 
 The serving daemon (repro.serve) used to rebuild the prelude for every
 request: ~60 `machine_env` cells allocated, then forced (and, on the
-compiled backend, compiled) again and again for identical bindings.
+``super`` backend, lowered) again and again for identical bindings.
 This module captures that work once in a :class:`PreludeSnapshot` and
 hands out *forks* — fresh machines that share the snapshot's heap.
 
@@ -86,7 +86,7 @@ def freeze_env(env: Env, machine: Machine) -> List[Cell]:
 
     Traversal is a worklist over cells (id-visited, so shared cells are
     forced once): each cell is forced to WHNF, then its value's
-    children — constructor fields, closure captures (compiled) or
+    children — constructor fields, closure captures (``super``) or
     captured environments (AST), IO payloads — are enqueued.  A cell
     whose forcing raises is left in its memoised ``RAISE`` state (it,
     too, is immutable from then on).  Returns the frozen cells, in

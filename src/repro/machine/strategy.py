@@ -19,7 +19,7 @@ class Strategy:
     """Decides the evaluation order of strict primitive arguments.
 
     ``stateless`` declares that :meth:`order` is a pure function of
-    ``(op, n)``; the compiled backend (repro.machine.compile) then
+    ``(op, n)``; the ``super`` backend (repro.machine.compile) then
     bakes the permutation in at compile time instead of consulting the
     strategy per execution.  Stateful strategies (Shuffled) must leave
     it False so their per-call RNG stream matches the AST backend's.

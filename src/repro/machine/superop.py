@@ -1,9 +1,10 @@
-"""Profile-guided superinstructions: fuse hot step sequences into
-single Python frames.
+"""Superinstructions: fuse recurring step sequences into single Python
+frames.
 
-``Machine(backend="super")`` is the second-generation compiled backend.
-The closure backend (repro.machine.compile) already lowers each AST
-node to one Python closure; its remaining cost is the *call* per node
+``Machine(backend="super")`` lowers programs to Python code before
+running them.  Its first tier, the closure lowering
+(repro.machine.compile), lowers each AST node to one Python closure;
+its remaining cost is the *call* per node
 — every semantic step still crosses a Python frame boundary.  This
 module fuses the recurring step shapes into one generated Python
 function per fusion site, so a hot region executes several virtual
@@ -26,7 +27,7 @@ machine steps without leaving a single Python frame:
 
 Inlining is recursive and budgeted (:data:`_INLINE_BUDGET` virtual
 steps per generated function); past the budget, or for shapes outside
-the catalogue, operands fall back to compiled sub-codes, so generated
+the catalogue, operands fall back to lowered sub-codes, so generated
 programs are a mix of fused and plain closures sharing one calling
 convention.
 
@@ -37,7 +38,7 @@ unfused closure would have ticked.  Counters, trace events, Shuffled
 RNG draws (stateful strategies are consulted once per primitive
 execution, at the same point in the sequence) and asynchronous
 interrupt/fault delivery points are therefore byte-identical to the
-AST and compiled backends; the parity suite and the chaos sweeps gate
+AST backend and the closure tier; the parity suite and the chaos sweeps gate
 this for free (tests/machine/test_backends.py, repro.chaos).
 
 **Constant folding through memoised cells**: a heap cell is immutable
@@ -49,14 +50,9 @@ deep-forced heap — is baked into the generated code as a constant
 virtual step for the variable read still ticks; only the cell
 indirection disappears, so observations are unchanged.
 
-**Profile-guided selection**: fusion is all-on by default (fusing is a
-compile-time decision with no runtime cost when wrong).  Given a
-SpanProfiler folded-stack profile (``repro profile --flame``, or the
-CLI's ``--profile-in``), :func:`span_heat` classifies each span as hot
-or cold by its share of leaf-frame steps, and the compiler fuses hot
-regions while lowering cold ones exactly as the compiled backend would
-— spans absent from the profile inherit their enclosing region's
-decision.
+Fusion is all-on: every catalogue shape fuses wherever it occurs.
+Narrowing it to measured-hot spans never beat all-on fusion
+(EXPERIMENTS.md, E18).
 
 ``benchmarks/bench_superop.py`` (E18) records the speedup; the fusion
 catalogue and the boundary contract are documented in
@@ -66,7 +62,7 @@ docs/PERFORMANCE.md.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Optional
 
 from repro.lang.ast import (
     App,
@@ -93,7 +89,6 @@ from repro.machine.compile import (
     _picker,
     _Compiler,
     Code,
-    CompiledMachine,
 )
 from repro.machine.eval import Machine, MachineError
 from repro.machine.frames import CClosure
@@ -105,16 +100,11 @@ from repro.machine.values import (
     VInt,
     VStr,
 )
-from repro.obs.attribution import ROOT
 from repro.obs.events import ALLOC, PRIM_RAISE, RAISE
 
 #: Fusion-site counters a SuperMachine aggregates (see
 #: :meth:`SuperMachine.fusion_report`).
 _FUSION_KINDS = ("prim", "case", "app", "con", "let-chain", "folded-cells")
-
-#: A span's share of leaf-frame steps at or above which it counts as
-#: hot (``span_heat``'s default).
-HOT_FRACTION = 0.01
 
 #: Upper bound on inlined virtual steps per generated function — a
 #: guard on generated-code size (and `exec` compile time), not a
@@ -123,52 +113,10 @@ HOT_FRACTION = 0.01
 _INLINE_BUDGET = 48
 
 
-def span_heat(
-    folded: Iterable[str], fraction: float = HOT_FRACTION
-) -> Dict[str, bool]:
-    """Classify spans from folded flamegraph lines as hot or cold.
-
-    Each folded line is ``frame;frame;... count``; the count is
-    attributed to the *leaf* frame (the span whose own steps those
-    are).  Decision-index decorations (``@d<N>``) are stripped, so
-    profiles recorded with or without them steer identically.  Returns
-    ``{span_label: is_hot}`` — labels absent from the profile are not
-    in the map (the compiler lets them inherit the enclosing region's
-    decision).
-    """
-    totals: Dict[str, int] = {}
-    grand = 0
-    for line in folded:
-        line = line.strip()
-        if not line:
-            continue
-        stack, _, count = line.rpartition(" ")
-        try:
-            n = int(count)
-        except ValueError:
-            continue
-        if not stack:
-            continue
-        leaf = stack.split(";")[-1].rsplit("@d", 1)[0]
-        totals[leaf] = totals.get(leaf, 0) + n
-        grand += n
-    if grand <= 0:
-        return {}
-    cut = grand * fraction
-    return {label: total >= cut for label, total in totals.items()}
-
-
-def load_profile(path: str, fraction: float = HOT_FRACTION) -> Dict[str, bool]:
-    """Read a ``.folded`` file (``repro profile --flame``) into a heat
-    map for ``Machine(backend="super", profile=...)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return span_heat(fh, fraction=fraction)
-
-
 # -- the fused-code emitter ---------------------------------------------
 #
 # Fused sites are generated as Python source and exec'd once at compile
-# time — the same technique the compiled backend uses for its frame
+# time — the same technique the closure lowering uses for its frame
 # constructors (`_capturer` etc.), scaled up to whole step sequences.
 # Every object a template references is bound into the generated
 # function's globals under a fresh name; only integers, small string
@@ -272,7 +220,7 @@ class _Emit:
         self.emit("    m._watch = -1", indent)
 
     def drain(self, dest: str, indent: int) -> None:
-        # The work-loop tail drain, inlined (compiled backend's
+        # The work-loop tail drain, inlined (the closure lowering's
         # `while x.__class__ is tuple` idiom).
         self.emit(f"while {dest}.__class__ is tuple:", indent)
         self.emit(f"    _tc, _tf = {dest}", indent)
@@ -292,47 +240,27 @@ class _Emit:
 
 
 class _SuperCompiler(_Compiler):
-    """The fusing lowering.  Shapes outside the catalogue (and regions
-    a profile marks cold) defer to the base compiler, so generated
-    programs are a mix of fused and plain closures sharing one calling
-    convention."""
+    """The fusing lowering.  Shapes outside the catalogue defer to the
+    base compiler, so generated programs are a mix of fused and plain
+    closures sharing one calling convention."""
 
-    __slots__ = ("heat", "_fuse_active", "counters")
+    __slots__ = ("counters",)
 
     def __init__(
         self,
         glob: Dict[str, Cell],
         strategy,
-        heat: Optional[Dict[str, bool]] = None,
         counters: Optional[Dict[str, int]] = None,
     ) -> None:
         super().__init__(glob, strategy)
-        self.heat = heat
         self.counters = (
             counters
             if counters is not None
             else dict.fromkeys(_FUSION_KINDS, 0)
         )
-        # With no profile everything fuses; with one, the root region
-        # follows `<top>`'s verdict (hot unless measured cold).
-        self._fuse_active = True if heat is None else heat.get(ROOT, True)
 
     def _count(self, kind: str) -> None:
         self.counters[kind] = self.counters.get(kind, 0) + 1
-
-    def compile(self, expr: Expr, scope: Dict[str, int]) -> Code:
-        heat = self.heat
-        if heat is None:
-            return super().compile(expr, scope)
-        span = getattr(expr, "span", None)
-        label = str(span) if span is not None else None
-        prev = self._fuse_active
-        if label is not None and label in heat:
-            self._fuse_active = heat[label]
-        try:
-            return super().compile(expr, scope)
-        finally:
-            self._fuse_active = prev
 
     # -- operand inlining (memoised-cell-read-then-prim) ----------------
 
@@ -345,7 +273,7 @@ class _SuperCompiler(_Compiler):
         compiler would have called.  Literals, variables, primitives,
         applications and constructors inline (the latter three within
         budget); anything else evaluates through its own (possibly
-        fused) compiled code, draining work-loop tails as the base
+        fused) lowered code, draining work-loop tails as the base
         operand path does."""
         if isinstance(expr, Lit):
             if expr.kind == "int":
@@ -448,7 +376,7 @@ class _SuperCompiler(_Compiler):
         em.emit("try:", ind)
         # The applier body, inlined for arithmetic and comparisons —
         # identical checks, error objects and messages to the
-        # `_APPLY2` closures the compiled backend calls.
+        # `_APPLY2` closures the closure lowering calls.
         if op in _INLINE_ARITH:
             pyop = _INLINE_ARITH[op]
             msg = f"{op} on non-integers"
@@ -509,7 +437,7 @@ class _SuperCompiler(_Compiler):
         self._count("prim")
 
     def _compile_prim(self, expr: PrimOp, scope: Dict[str, int]) -> Code:
-        if not (self._fuse_active and self._prim_fusable(expr)):
+        if not self._prim_fusable(expr):
             return super()._compile_prim(expr, scope)
         em = _Emit()
         dest = em.fresh("r")
@@ -569,8 +497,6 @@ class _SuperCompiler(_Compiler):
             em.drain(dest, ind)
 
     def _compile_app(self, expr: App, scope: Dict[str, int]) -> Code:
-        if not self._fuse_active:
-            return super()._compile_app(expr, scope)
         em = _Emit()
         self._emit_app(em, expr, scope, 1, dest=None)
         return em.build()
@@ -612,7 +538,7 @@ class _SuperCompiler(_Compiler):
         """Emit ``expr`` in tail position: catalogue shapes run inline
         and return their value (applications tail-return their
         continuation for the work loop); anything else returns its
-        compiled code with the current frame, exactly as the base
+        lowered code with the current frame, exactly as the base
         backend's alternative/let bodies do."""
         if isinstance(expr, (Lit, Var)):
             dest = em.fresh("r")
@@ -639,8 +565,6 @@ class _SuperCompiler(_Compiler):
     # -- fused case (saturated-prim-then-case) ---------------------------
 
     def _compile_case(self, expr: Case, scope: Dict[str, int]) -> Code:
-        if not self._fuse_active:
-            return super()._compile_case(expr, scope)
         for alt in expr.alts:
             pattern = alt.pattern
             if isinstance(pattern, PCon) and any(
@@ -738,12 +662,10 @@ class _SuperCompiler(_Compiler):
     # -- fused let chains (let-chain-then-tail-call) ----------------------
 
     def _compile_let(self, expr: Let, scope: Dict[str, int]) -> Code:
-        if not self._fuse_active:
-            return super()._compile_let(expr, scope)
         em = _Emit()
         cur: Expr = expr
         cur_scope = scope
-        while isinstance(cur, Let) and (cur is expr or self._let_hot(cur)):
+        while isinstance(cur, Let):
             names = [name for name, _rhs in cur.binds]
             bound = set(names)
             sub_exprs = tuple(rhs for _n, rhs in cur.binds) + (cur.body,)
@@ -776,18 +698,10 @@ class _SuperCompiler(_Compiler):
         self._count("let-chain")
         return em.build()
 
-    def _let_hot(self, expr: Let) -> bool:
-        if self.heat is None:
-            return True
-        span = getattr(expr, "span", None)
-        if span is None:
-            return self._fuse_active
-        return self.heat.get(str(span), self._fuse_active)
-
     # -- constant-folded variable reads ----------------------------------
 
     def _compile_var(self, name: str, scope: Dict[str, int]) -> Code:
-        if self._fuse_active and name not in scope:
+        if name not in scope:
             cell = self.glob.get(name)
             if cell is not None and cell.state == 2:
                 value = cell.value
@@ -808,42 +722,26 @@ def compile_super(
     expr: Expr,
     glob: Optional[Dict[str, Cell]],
     strategy,
-    heat: Optional[Dict[str, bool]] = None,
     counters: Optional[Dict[str, int]] = None,
 ) -> Code:
     """Lower ``expr`` with superinstruction fusion against the global
     environment ``glob`` — the fusing analogue of
     :func:`repro.machine.compile.compile_top`."""
-    return _SuperCompiler(glob or {}, strategy, heat, counters).compile(
-        expr, {}
-    )
+    return _SuperCompiler(glob or {}, strategy, counters).compile(expr, {})
 
 
-Profile = Union[None, Dict[str, bool], str, Iterable[str]]
-
-
-def normalize_profile(profile: Profile) -> Optional[Dict[str, bool]]:
-    """Accept the forms ``Machine(backend="super", profile=...)``
-    takes: ``None`` (fuse everything), a heat map from
-    :func:`span_heat`, a path to a ``.folded`` file, or an iterable of
-    folded lines."""
-    if profile is None:
-        return None
-    if isinstance(profile, dict):
-        return dict(profile)
-    if isinstance(profile, str):
-        return load_profile(profile)
-    return span_heat(profile)
-
-
-class SuperMachine(CompiledMachine):
+class SuperMachine(Machine):
     """The ``backend="super"`` machine.
 
-    Observable behaviour is pinned to :class:`Machine` — same heap,
-    counters, events, strategies and interrupt points; only the
-    lowering differs (fused frames instead of one closure per node).
-    ``profile`` optionally narrows fusion to profile-hot spans; see
-    :func:`normalize_profile` for the accepted forms.
+    Everything observable — heap cells, stats, sinks, strategies,
+    primitive semantics, exception conversion, interrupt points — is
+    inherited from :class:`Machine`; only *how expressions run*
+    differs.  ``eval`` dispatches on what it is handed: an AST
+    :class:`Expr` (with a dict environment) is lowered by
+    :func:`compile_super` first; already-lowered code (with a frame) —
+    the payload of cells this backend allocates, or a closure-tier
+    program from :func:`repro.machine.compile.compile_top` — enters the
+    work-loop directly.
     """
 
     def __init__(
@@ -855,15 +753,13 @@ class SuperMachine(CompiledMachine):
         sink=None,
         *,
         backend: str = "super",
-        profile: Profile = None,
     ) -> None:
         if backend != "super":
             raise ValueError(
                 f"SuperMachine only supports backend='super', "
                 f"got {backend!r}"
             )
-        Machine.__init__(
-            self,
+        super().__init__(
             strategy,
             fuel,
             detect_blackholes,
@@ -871,7 +767,6 @@ class SuperMachine(CompiledMachine):
             sink,
             backend="super",
         )
-        self._heat = normalize_profile(profile)
         self.fusion_stats: Dict[str, int] = dict.fromkeys(_FUSION_KINDS, 0)
 
     def fusion_report(self) -> Dict[str, int]:
@@ -883,13 +778,16 @@ class SuperMachine(CompiledMachine):
     def eval(self, expr, env):
         if isinstance(expr, Expr):
             expr, env = (
-                compile_super(
-                    expr, env, self.strategy, self._heat, self.fusion_stats
-                ),
+                compile_super(expr, env, self.strategy, self.fusion_stats),
                 (),
             )
+        # _run, inlined: eval is the per-force entry point (Cell.force
+        # calls it), so one fewer Python frame matters here.
         result = expr(self, env)
         while result.__class__ is tuple:
             code, frame = result
             result = code(self, frame)
         return result
+
+    def bind_cell(self, fn, arg_cell: Cell) -> Cell:
+        return Cell(fn.code, (arg_cell,) + fn.captures)

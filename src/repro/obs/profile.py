@@ -162,7 +162,7 @@ def profile_source(
 ) -> ProfileReport:
     """Profile ``source`` (prelude in scope) on the requested layer(s).
 
-    ``backend`` selects the machine evaluator (ast or compiled); both
+    ``backend`` selects the machine evaluator (``ast`` or ``super``); both
     emit the same counters and events (docs/PERFORMANCE.md).
 
     ``attribution=True`` additionally aggregates machine cost per

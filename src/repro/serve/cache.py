@@ -1,8 +1,8 @@
 """The content-addressed program cache behind the warm path.
 
 A served program's front-end work — parse, pattern-flatten, optionally
-typecheck, and (on the compiled and super backends) lower to closures
-or fused frames — is a pure function of the *source text*, the
+typecheck, and (on the ``super`` backend) lower to closures or fused
+frames — is a pure function of the *source text*, the
 *backend* and the *strategy*.  The
 cache therefore keys entries by ``sha256(source) × backend ×
 strategy`` and stores the derived artifacts:
@@ -31,7 +31,6 @@ the closure tree.  Backend parity makes the two tiers observably
 identical (same steps, allocations, events and traces), so the choice
 is purely a cost decision: a program seen once never pays fused
 codegen, and a repeated one runs fused code from its second request.
-The ``compiled`` backend has one tier, the closure lowering.
 
 Invalidation is structural: content addressing means an edited source
 *is* a different key, so stale artifacts are never served — the old
@@ -86,10 +85,9 @@ class CachedProgram:
         """``(code, tier, built)``: the program lowered against
         ``glob`` (the snapshot's frozen environment) in the tier the
         entry has reached, and whether this call paid the codegen.
-        The tier is ``"fused"`` once a ``super`` entry is hot and
-        ``"closure"`` otherwise.  The cache key carries the backend,
-        so entries for different backends never share code."""
-        tier = FUSED if self.hot and self.key[1] == "super" else CLOSURE
+        The tier is ``"fused"`` once the entry is hot and
+        ``"closure"`` otherwise."""
+        tier = FUSED if self.hot else CLOSURE
         lowered = self._lowered
         if lowered is not None and lowered[1] == tier:
             return lowered[0], tier, False

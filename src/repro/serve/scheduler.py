@@ -303,12 +303,15 @@ class CooperativeScheduler:
                         self.hooks.first_slice.observe(
                             now - task.enqueued_at
                         )
+                # Counted at the grant: a slice that completes the task
+                # wakes its submitter from inside ``run_slice``, before
+                # this worker retakes the lock.
+                self.slices_total += 1
+                task.slices += 1
             if preempt:
                 self._preempt(task)
             status = task.runner.run_slice(grant)
             with self._cond:
-                self.slices_total += 1
-                task.slices += 1
                 task.steps += status.steps
                 state.deficit = max(0, state.deficit - status.steps)
                 state.running -= 1

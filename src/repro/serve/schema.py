@@ -149,7 +149,7 @@ def schema_sets(status: str) -> Tuple[Set[str], Set[str]]:
 #: cannot drift from the code.
 HEALTH_SCHEMA: Dict[str, Tuple[str, str]] = {
     "status": ("string", "always `\"ok\"` when the service answers"),
-    "backend": ("string", "evaluator backend (`ast`/`compiled`/`super`)"),
+    "backend": ("string", "evaluator backend (`ast`/`super`)"),
     "warm": ("bool", "snapshot-fork warm path enabled"),
     "cache": (
         "object/null",
@@ -380,7 +380,7 @@ SERVE_FLAGS: Tuple[FlagSpec, ...] = (
         "evaluator backend for every request",
         str,
         "ast",
-        choices=("ast", "compiled", "super"),
+        choices=("ast", "super"),
     ),
     FlagSpec("--max-steps", "per-request step budget", int, 2_000_000),
     FlagSpec(

@@ -975,10 +975,7 @@ class EvalService:
             machine.attach_governor(governor)
 
             program: Any = entry.expr
-            if self.snapshot is not None and config.backend in (
-                "compiled",
-                "super",
-            ):
+            if self.snapshot is not None and config.backend == "super":
                 # The cached lowered program bakes the snapshot's
                 # (immutable) cells in and takes the running machine
                 # as an argument, so one compilation serves every

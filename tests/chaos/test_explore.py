@@ -9,6 +9,7 @@ from repro.chaos.explore import (
     sweep_source,
 )
 from repro.core.excset import HEAP_OVERFLOW, TIMEOUT
+from repro.machine import BACKENDS
 
 
 class TestDeliveryPoints:
@@ -32,14 +33,14 @@ class TestDeliveryPoints:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_small_expression_is_sound_everywhere(self, backend):
         report = sweep_source("1 + 2 * 3", backend=backend)
         assert report.ok
         assert report.baseline == "Normal(7)"
         assert report.points_checked == report.baseline_steps
 
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_exceptional_baseline_is_sound_everywhere(self, backend):
         # A program whose uninterrupted outcome is itself exceptional:
         # every interrupted run must observe the injected exception
@@ -69,13 +70,13 @@ class TestSweep:
 
     def test_backends_agree_on_baseline_steps(self):
         ast = sweep_source("1 + 2 * 3", backend="ast", limit=1)
-        compiled = sweep_source("1 + 2 * 3", backend="compiled", limit=1)
-        assert ast.baseline_steps == compiled.baseline_steps
-        assert ast.baseline == compiled.baseline
+        fused = sweep_source("1 + 2 * 3", backend="super", limit=1)
+        assert ast.baseline_steps == fused.baseline_steps
+        assert ast.baseline == fused.baseline
 
 
 class TestPlantedUnsound:
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_self_test_catches_the_plant(self, backend):
         caught, report = self_test(backend=backend)
         assert caught

@@ -15,6 +15,7 @@ from repro.io.events import EventPlan, timeout_after
 from repro.machine import Machine
 from repro.machine.observe import Exceptional, Normal, observe
 from repro.prelude.loader import machine_env
+from tests.conftest import LOWERINGS, prepare
 
 FIB = (
     "let { fib = \\n -> if n < 2 then n else fib (n - 1) + fib (n - 2) } "
@@ -23,12 +24,9 @@ FIB = (
 
 
 def _run(source, plan, backend="ast"):
-    machine = Machine(backend=backend)
+    machine, program, env = prepare(source, backend)
     machine.attach_fault_plan(plan)
-    outcome = observe(
-        compile_expr(source), env=machine_env(machine), machine=machine
-    )
-    return outcome, machine
+    return observe(program, env=env, machine=machine), machine
 
 
 class TestFaultValidation:
@@ -42,7 +40,7 @@ class TestFaultValidation:
 
 
 class TestInterrupts:
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_interrupt_delivered_at_scheduled_step(self, backend):
         plan = FaultPlan([Fault(INTERRUPT, step=50, exc=TIMEOUT)])
         outcome, machine = _run(FIB, plan, backend)
@@ -52,7 +50,7 @@ class TestInterrupts:
         assert plan.injected[0].exc == "Timeout"
         assert plan.spent
 
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_unreached_fault_never_fires(self, backend):
         plan = FaultPlan([Fault(INTERRUPT, step=10**9, exc=TIMEOUT)])
         outcome, _ = _run("1 + 2 * 3", plan, backend)
@@ -67,16 +65,17 @@ class TestInterrupts:
 
     def test_backend_injection_parity(self):
         results = {}
-        for backend in ("ast", "compiled"):
+        for backend in LOWERINGS:
             plan = FaultPlan([Fault(INTERRUPT, step=123, exc=TIMEOUT)])
             outcome, machine = _run(FIB, plan, backend)
             results[backend] = (outcome, machine.stats.steps,
                                 plan.injected)
-        assert results["ast"] == results["compiled"]
+        for backend in LOWERINGS[1:]:
+            assert results[backend] == results["ast"], backend
 
 
 class TestAllocFail:
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_alloc_cap_delivers_heap_overflow(self, backend):
         plan = FaultPlan([Fault(ALLOC_FAIL, allocations=20)])
         outcome, machine = _run(FIB, plan, backend)
@@ -85,12 +84,12 @@ class TestAllocFail:
         assert plan.injected[0].kind == ALLOC_FAIL
 
     def test_alloc_fail_step_identical_across_backends(self):
-        steps = []
-        for backend in ("ast", "compiled"):
+        steps = set()
+        for backend in LOWERINGS:
             plan = FaultPlan([Fault(ALLOC_FAIL, allocations=20)])
             _run(FIB, plan, backend)
-            steps.append(plan.injected[0].step)
-        assert steps[0] == steps[1]
+            steps.add(plan.injected[0].step)
+        assert len(steps) == 1
 
 
 class TestLatency:
@@ -166,32 +165,28 @@ class TestConstruction:
 
 
 class TestPayAsYouGo:
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_detached_plan_leaves_counters_at_seed(self, backend):
-        bare = Machine(backend=backend)
-        observe(compile_expr(FIB), env=machine_env(bare), machine=bare)
-        hooked = Machine(backend=backend)
+        bare, program, env = prepare(FIB, backend)
+        observe(program, env=env, machine=bare)
+        hooked, program, env = prepare(FIB, backend)
         hooked.attach_fault_plan(None)  # attach-then-detach
         hooked.attach_governor(None)
-        observe(
-            compile_expr(FIB), env=machine_env(hooked), machine=hooked
-        )
+        observe(program, env=env, machine=hooked)
         assert (
             bare.stats.snapshot().as_dict()
             == hooked.stats.snapshot().as_dict()
         )
 
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_unfired_plan_does_not_perturb_counters(self, backend):
-        bare = Machine(backend=backend)
-        observe(compile_expr(FIB), env=machine_env(bare), machine=bare)
-        hooked = Machine(backend=backend)
+        bare, program, env = prepare(FIB, backend)
+        observe(program, env=env, machine=bare)
+        hooked, program, env = prepare(FIB, backend)
         hooked.attach_fault_plan(
             FaultPlan([Fault(INTERRUPT, step=10**9)])
         )
-        observe(
-            compile_expr(FIB), env=machine_env(hooked), machine=hooked
-        )
+        observe(program, env=env, machine=hooked)
         assert (
             bare.stats.snapshot().as_dict()
             == hooked.stats.snapshot().as_dict()

@@ -11,8 +11,8 @@ from repro.chaos.explore import (
     sweep_axis,
     sweep_latency_source,
 )
+from repro.machine import BACKENDS
 
-BACKENDS = ("ast", "compiled")
 
 #: Small but allocation-bearing, so every axis has sweep points.
 SOURCE = "let { x = 1 + 2 ; y = x + x } in y * y"

@@ -209,7 +209,8 @@ class TestWarmLane:
         report = run_oracle(case_of("sum (enumFromTo 1 5)"))
         verdicts = lane_verdicts(report)
         assert verdicts["machine:warm-fork[ast]"] == AGREE
-        assert verdicts["machine:warm-fork[compiled]"] == AGREE
+        assert verdicts["machine:warm-fork[super]"] == AGREE
+        assert "machine:warm-fork[compiled]" not in verdicts
 
     def test_warm_lane_agrees_on_raises_and_imprecision(self):
         for source in (
@@ -227,8 +228,34 @@ class TestWarmLane:
             lane.startswith("machine:warm-fork") for lane in verdicts
         )
 
-    def test_warm_lane_follows_compiled_lane_flag(self):
-        config = OracleConfig(compiled_lane=False)
-        verdicts = lane_verdicts(run_oracle(case_of("1 + 2"), config))
-        assert "machine:warm-fork[ast]" in verdicts
-        assert "machine:warm-fork[compiled]" not in verdicts
+
+class TestTierLanes:
+    """Both lowering tiers of the ``super`` backend are lanes: the
+    closure code a served program runs on first use and the fused
+    frames it runs once hot."""
+
+    def test_pure_case_runs_both_tiers(self):
+        verdicts = lane_verdicts(run_oracle(case_of("sum (enumFromTo 1 5)")))
+        assert verdicts["machine:closure"] == AGREE
+        assert verdicts["machine:super"] == AGREE
+        assert "machine:compiled" not in verdicts
+
+    def test_tiers_pick_the_default_strategys_member(self):
+        report = run_oracle(
+            case_of('(1 `div` 0) + (raise (UserError "Urk"))')
+        )
+        observed = {
+            c.lane: c.observation.detail for c in report.comparisons
+        }
+        assert (
+            observed["machine:closure"]
+            == observed["machine:super"]
+            == observed["machine:left-to-right"]
+        )
+
+    def test_io_case_runs_both_tiers(self):
+        report = run_oracle(case_of('putStr "ab"', kind="io"))
+        verdicts = lane_verdicts(report)
+        assert verdicts["io:closure"] == AGREE
+        assert verdicts["io:super"] == AGREE
+        assert "io:compiled" not in verdicts

@@ -1,22 +1,23 @@
-"""Backend parity: every machine backend against the AST walker.
+"""Backend parity: every machine lowering against the AST walker.
 
 Every test here runs under each backend in
-:data:`repro.machine.BACKENDS` — ``ast``, ``compiled`` and ``super`` —
-(or runs them all and compares).  The contract (docs/PERFORMANCE.md):
-identical outcomes, identical counters, identical strategy-ordered
-exception choices, identical async delivery points — the backends
-must be observationally indistinguishable, only wall-clock differs.
-New backends join the battery by appearing in ``BACKENDS``; no
-bespoke tests are needed.
+:data:`repro.machine.BACKENDS` — ``ast`` and ``super`` — and under the
+closure tier (``super`` running :func:`compile_top` code, a served
+program's first use), or runs them all and compares.  The contract
+(docs/PERFORMANCE.md): identical outcomes, identical counters,
+identical strategy-ordered exception choices, identical async delivery
+points — the lowerings must be observationally indistinguishable, only
+wall-clock differs.  New backends join the battery by appearing in
+``BACKENDS``; no bespoke tests are needed.
 """
 
 import pytest
 
-from repro.api import compile_expr, compile_program, run_io_source
+from repro.api import compile_program
 from repro.core.excset import CONTROL_C, NON_TERMINATION, Exc
+from repro.io.run import IOExecutor
 from repro.machine import (
     BACKENDS,
-    CompiledMachine,
     Diverged,
     Exceptional,
     LeftToRight,
@@ -30,15 +31,21 @@ from repro.machine import (
 )
 from repro.machine.heap import Cell, ObjRaise
 from repro.machine.values import VCon, VFun, VInt
+from repro.machine.eval import program_env
 from repro.prelude.loader import machine_env
+from tests.conftest import LOWERINGS, lower_for, machine_for, prepare
 
-BOTH = pytest.mark.parametrize("backend", BACKENDS)
+BOTH = pytest.mark.parametrize("backend", LOWERINGS)
 
 
 def run(source, backend, **kwargs):
-    machine = Machine(backend=backend, **kwargs)
-    env = machine_env(machine)
-    return observe(compile_expr(source), env=env, machine=machine), machine
+    machine, program, env = prepare(source, backend, **kwargs)
+    return observe(program, env=env, machine=machine), machine
+
+
+def run_io(source, backend):
+    machine, program, env = prepare(source, backend)
+    return IOExecutor(machine=machine).run_cell(Cell(program, env))
 
 
 def normal_int(outcome):
@@ -49,7 +56,7 @@ def normal_int(outcome):
 
 class TestDispatch:
     def test_backend_selects_subclass(self):
-        assert type(Machine(backend="compiled")) is CompiledMachine
+        assert BACKENDS == ("ast", "super")
         assert type(Machine(backend="super")) is SuperMachine
         assert type(Machine(backend="ast")) is Machine
         assert type(Machine()) is Machine
@@ -58,8 +65,13 @@ class TestDispatch:
         with pytest.raises(ValueError):
             Machine(backend="jit")
 
+    def test_retired_compiled_backend_rejected(self):
+        # The error names the backends that are left.
+        with pytest.raises(ValueError, match=r"\('ast', 'super'\)"):
+            Machine(backend="compiled")
+
     def test_backend_attribute(self):
-        assert Machine(backend="compiled").backend == "compiled"
+        assert Machine(backend="super").backend == "super"
         assert Machine().backend == "ast"
 
 
@@ -83,7 +95,7 @@ class TestShadowing:
     @BOTH
     def test_local_shadows_prelude_global(self, backend):
         # `head` is a prelude binding resolved through a global cell in
-        # the compiled backend; a local binder must still win.
+        # the lowered code; a local binder must still win.
         out, _ = run("let { head = \\x -> 42 } in head [1, 2]", backend)
         assert normal_int(out) == 42
 
@@ -134,7 +146,15 @@ class TestRecursionAndKnots:
             "main = go 100\n"
             "go n = if n < 1 then 0 else n + go (n - 1)\n"
         )
-        out = observe_program(program, backend=backend)
+        if backend in BACKENDS:
+            out = observe_program(program, backend=backend)
+        else:
+            machine = machine_for(backend)
+            env = program_env(program, machine, machine_env(machine))
+            main, env = lower_for(
+                backend, program.bind_map()["main"], env, machine
+            )
+            out = observe(main, env=env, machine=machine)
         assert normal_int(out) == 5050
 
 
@@ -208,20 +228,20 @@ class TestCounterParity:
     @pytest.mark.parametrize("source", PROGRAMS)
     def test_stats_identical(self, source):
         snapshots = {}
-        for backend in BACKENDS:
+        for backend in LOWERINGS:
             out, machine = run(source, backend)
             assert isinstance(out, Normal)
             snapshots[backend] = machine.stats.snapshot().as_dict()
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert snapshots[backend] == snapshots["ast"], backend
 
     def test_stats_identical_on_exception(self):
         snapshots = {}
-        for backend in BACKENDS:
+        for backend in LOWERINGS:
             out, machine = run("1 + (2 `div` 0)", backend)
             assert isinstance(out, Exceptional)
             snapshots[backend] = machine.stats.snapshot().as_dict()
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert snapshots[backend] == snapshots["ast"], backend
 
 
@@ -235,12 +255,8 @@ class TestStrategyParity:
     def test_ordered_strategies_pick_same_exception(
         self, strategy, expected
     ):
-        for backend in BACKENDS:
-            machine = Machine(strategy=strategy, backend=backend)
-            env = machine_env(machine)
-            out = observe(
-                compile_expr(self.TWO_FAULTS), env=env, machine=machine
-            )
+        for backend in LOWERINGS:
+            out, _ = run(self.TWO_FAULTS, backend, strategy=strategy)
             assert isinstance(out, Exceptional)
             assert out.exc.name == expected, backend
 
@@ -250,26 +266,21 @@ class TestStrategyParity:
         # backends must draw in the same order and land on the same
         # representative exception.
         picks = {}
-        for backend in BACKENDS:
-            machine = Machine(strategy=Shuffled(seed), backend=backend)
-            env = machine_env(machine)
-            out = observe(
-                compile_expr(self.TWO_FAULTS), env=env, machine=machine
-            )
+        for backend in LOWERINGS:
+            out, _ = run(self.TWO_FAULTS, backend, strategy=Shuffled(seed))
             assert isinstance(out, Exceptional)
             picks[backend] = out.exc
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert picks[backend] == picks["ast"], backend
 
 
 class TestAsyncParity:
     @BOTH
     def test_event_plan_interrupts(self, backend):
-        machine = Machine(event_plan={50: CONTROL_C}, backend=backend)
-        env = machine_env(machine)
-        out = observe(
-            compile_expr("let { w = \\u -> w u } in w ()"),
-            env=env, machine=machine,
+        out, _ = run(
+            "let { w = \\u -> w u } in w ()",
+            backend,
+            event_plan={50: CONTROL_C},
         )
         assert isinstance(out, Exceptional)
         assert out.exc == CONTROL_C
@@ -278,25 +289,23 @@ class TestAsyncParity:
         # The interrupt must land at the same step count on both
         # backends — the tick contract, not just the final outcome.
         steps = {}
-        for backend in BACKENDS:
-            machine = Machine(event_plan={75: CONTROL_C}, backend=backend)
-            env = machine_env(machine)
-            out = observe(
-                compile_expr("let { w = \\u -> w u } in w ()"),
-                env=env, machine=machine,
+        for backend in LOWERINGS:
+            out, machine = run(
+                "let { w = \\u -> w u } in w ()",
+                backend,
+                event_plan={75: CONTROL_C},
             )
             assert isinstance(out, Exceptional)
             steps[backend] = machine.stats.steps
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert steps[backend] == steps["ast"], backend
 
 
 class TestRaiseMemoisation:
     @BOTH
     def test_cell_overwritten_with_raise(self, backend):
-        machine = Machine(backend=backend)
-        env = machine_env(machine)
-        cell = Cell(compile_expr("1 `div` 0"), env)
+        machine, program, env = prepare("1 `div` 0", backend)
+        cell = Cell(program, env)
         with pytest.raises(ObjRaise) as first:
             cell.force(machine)
         raises_after_first = machine.stats.raises
@@ -311,7 +320,7 @@ class TestRaiseMemoisation:
 class TestIOParity:
     @BOTH
     def test_put_str_sequencing(self, backend):
-        result = run_io_source('putStr "a" >> putStr "b"', backend=backend)
+        result = run_io('putStr "a" >> putStr "b"', backend)
         assert result.ok
         assert result.stdout == "ab"
 
@@ -319,7 +328,7 @@ class TestIOParity:
     def test_catch_io(self, backend):
         src = ('catchIO (ioError (UserError "boom")) '
                '(\\e -> putStr "caught")')
-        result = run_io_source(src, backend=backend)
+        result = run_io(src, backend)
         assert result.ok
         assert result.stdout == "caught"
 
@@ -328,19 +337,14 @@ class TestIOParity:
         src = ("getException (1 `div` 0) >>= (\\r -> "
                "case r of { OK v -> putStr \"ok\"; "
                "Bad e -> putStr \"bad\" })")
-        result = run_io_source(src, backend=backend)
+        result = run_io(src, backend)
         assert result.ok
         assert result.stdout == "bad"
 
     @BOTH
     def test_map_exception(self, backend):
-        machine = Machine(backend=backend)
-        env = machine_env(machine)
-        out = observe(
-            compile_expr(
-                'mapException (\\e -> UserError "renamed") (1 `div` 0)'
-            ),
-            env=env, machine=machine,
+        out, _ = run(
+            'mapException (\\e -> UserError "renamed") (1 `div` 0)', backend
         )
         assert isinstance(out, Exceptional)
         assert out.exc.name == "UserError"
@@ -360,24 +364,18 @@ class TestProvenanceParity:
     ]
 
     def _observe_with_provenance(self, source, backend, strategy=None):
-        machine = Machine(strategy=strategy, backend=backend)
-        env = machine_env(machine)
-        return observe(
-            compile_expr(source),
-            env=env,
-            machine=machine,
-            provenance=True,
-        )
+        machine, program, env = prepare(source, backend, strategy=strategy)
+        return observe(program, env=env, machine=machine, provenance=True)
 
     @pytest.mark.parametrize("source", CASES)
     def test_records_identical(self, source):
         outcomes = [
             self._observe_with_provenance(source, backend)
-            for backend in BACKENDS
+            for backend in LOWERINGS
         ]
         reference = outcomes[0]
         assert isinstance(reference, Exceptional)
-        for backend, outcome in zip(BACKENDS[1:], outcomes[1:]):
+        for backend, outcome in zip(LOWERINGS[1:], outcomes[1:]):
             assert outcome == reference, backend
             assert outcome.provenance == reference.provenance, backend
 
@@ -388,9 +386,9 @@ class TestProvenanceParity:
             self._observe_with_provenance(
                 source, backend, strategy=Shuffled(seed)
             ).provenance
-            for backend in BACKENDS
+            for backend in LOWERINGS
         ]
-        for backend, record in zip(BACKENDS[1:], records[1:]):
+        for backend, record in zip(LOWERINGS[1:], records[1:]):
             assert record == records[0], backend
 
 
@@ -410,30 +408,24 @@ class TestAttributionParity:
         from repro.obs import SpanProfiler
 
         profiler = SpanProfiler()
-        machine = Machine(backend=backend)
-        env = machine_env(machine)
-        observe(
-            compile_expr(source),
-            env=env,
-            machine=machine,
-            sink=profiler,
-        )
+        machine, program, env = prepare(source, backend)
+        observe(program, env=env, machine=machine, sink=profiler)
         return profiler
 
     @pytest.mark.parametrize("source", CASES)
     def test_totals_identical(self, source):
         profilers = [
-            self._attribute(source, backend) for backend in BACKENDS
+            self._attribute(source, backend) for backend in LOWERINGS
         ]
         assert profilers[0].totals  # non-empty: attribution happened
-        for backend, prof in zip(BACKENDS[1:], profilers[1:]):
+        for backend, prof in zip(LOWERINGS[1:], profilers[1:]):
             assert prof.totals == profilers[0].totals, backend
 
     @pytest.mark.parametrize("source", CASES)
     def test_folded_stacks_identical(self, source):
         profilers = [
-            self._attribute(source, backend) for backend in BACKENDS
+            self._attribute(source, backend) for backend in LOWERINGS
         ]
         reference = profilers[0].folded_lines()
-        for backend, prof in zip(BACKENDS[1:], profilers[1:]):
+        for backend, prof in zip(LOWERINGS[1:], profilers[1:]):
             assert prof.folded_lines() == reference, backend

@@ -19,7 +19,7 @@ from repro.api import compile_expr
 from repro.core.denote import DenoteContext
 from repro.core.excset import Exc, ExcSet
 from repro.lang.ast import Span
-from repro.machine import BACKENDS, Machine
+from repro.machine import Machine
 from repro.machine.observe import Exceptional, observe
 from repro.machine.strategy import LeftToRight, RightToLeft
 from repro.obs.provenance import (
@@ -30,20 +30,18 @@ from repro.obs.provenance import (
     format_provenance,
 )
 from repro.prelude.loader import machine_env
+from tests.conftest import LOWERINGS, prepare
 
 TWO_FAULTS = '(1 `div` 0) + error "boom"'
 
-BOTH = pytest.mark.parametrize("backend", BACKENDS)
+BOTH = pytest.mark.parametrize("backend", LOWERINGS)
 
 
 def run(source, backend="ast", strategy=None, provenance=True, fuel=200_000):
-    machine = Machine(strategy=strategy, fuel=fuel, backend=backend)
-    return observe(
-        compile_expr(source),
-        env=machine_env(machine),
-        machine=machine,
-        provenance=provenance,
+    machine, program, env = prepare(
+        source, backend, strategy=strategy, fuel=fuel
     )
+    return observe(program, env=env, machine=machine, provenance=provenance)
 
 
 class TestRecording:
@@ -132,16 +130,10 @@ class TestInvisibility:
 
     @BOTH
     def test_counters_identical_with_recording_on_and_off(self, backend):
-        expr = compile_expr("sum [1, 2 `div` 0, 3]")
         snapshots = []
         for provenance in (False, True):
-            machine = Machine(backend=backend)
-            observe(
-                expr,
-                env=machine_env(machine),
-                machine=machine,
-                provenance=provenance,
-            )
+            machine, program, env = prepare("sum [1, 2 `div` 0, 3]", backend)
+            observe(program, env=env, machine=machine, provenance=provenance)
             snapshots.append(machine.stats.snapshot().as_dict())
         assert snapshots[0] == snapshots[1]
 

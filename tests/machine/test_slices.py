@@ -3,7 +3,7 @@
 The contract the cooperative scheduler stands on: driving an
 evaluation in bounded slices — any slice size, any interleaving —
 must be observationally identical to running it in one piece, on
-every backend.  Outcome, counters, trace events, Shuffled RNG stream
+every backend and on the closure tier.  Outcome, counters, trace events, Shuffled RNG stream
 and provenance records are all compared; parking must add *nothing*
 to the observable surface, and interrupts delivered through the gate
 or an injected governor trip must land through the ordinary §5.1
@@ -17,7 +17,6 @@ import pytest
 from repro.api import compile_expr
 from repro.core.excset import CONTROL_C, TIMEOUT
 from repro.machine import (
-    BACKENDS,
     Diverged,
     Exceptional,
     Machine,
@@ -34,8 +33,9 @@ from repro.machine.slices import (
 from repro.obs.sinks import RingBufferSink
 from repro.prelude.loader import machine_env
 from repro.serve.governor import GovernorLimits, ResourceGovernor
+from tests.conftest import LOWERINGS, prepare
 
-EVERY = pytest.mark.parametrize("backend", BACKENDS)
+EVERY = pytest.mark.parametrize("backend", LOWERINGS)
 
 #: A few hundred steps of mixed work: shared thunks, prim-ops, cons.
 WORK = "sum (map (\\x -> x * x) (enumFromTo 1 12))"
@@ -47,28 +47,22 @@ SPIN = "let { w = \\u -> w u } in w ()"
 
 def plain_run(source, backend, *, strategy=None, sink=None,
               fuel=2_000_000, provenance=False):
-    machine = Machine(
-        strategy=strategy, backend=backend, fuel=fuel, sink=sink
+    machine, program, env = prepare(
+        source, backend, strategy=strategy, fuel=fuel, sink=sink
     )
-    env = machine_env(machine)
-    out = observe(
-        compile_expr(source), env=env, machine=machine,
-        provenance=provenance,
-    )
+    out = observe(program, env=env, machine=machine, provenance=provenance)
     return out, machine
 
 
 def sliced_run(source, backend, slice_steps, *, strategy=None,
                sink=None, fuel=2_000_000, provenance=False):
-    machine = Machine(
-        strategy=strategy, backend=backend, fuel=fuel, sink=sink
+    machine, program, env = prepare(
+        source, backend, strategy=strategy, fuel=fuel, sink=sink
     )
-    env = machine_env(machine)
     out = run_sliced(
         machine,
         lambda: observe(
-            compile_expr(source), env=env, machine=machine,
-            provenance=provenance,
+            program, env=env, machine=machine, provenance=provenance
         ),
         slice_steps,
     )
@@ -106,7 +100,7 @@ class TestSlicedParity:
         # Shuffled draws per prim-op; a park/resume between draws must
         # not perturb the stream on any backend.
         picks = {}
-        for backend in BACKENDS:
+        for backend in LOWERINGS:
             ref, _ = plain_run(
                 FAULTY, backend, strategy=Shuffled(seed)
             )
@@ -116,7 +110,7 @@ class TestSlicedParity:
             assert isinstance(out, Exceptional)
             assert out.exc == ref.exc, backend
             picks[backend] = out.exc
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert picks[backend] == picks["ast"], backend
 
     @EVERY
@@ -136,23 +130,19 @@ class TestSlicedParity:
 
     def test_cross_backend_sliced_counters(self):
         snaps = {}
-        for backend in BACKENDS:
+        for backend in LOWERINGS:
             _, machine = sliced_run(WORK, backend, 17)
             snaps[backend] = machine.stats.snapshot()
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert snaps[backend] == snaps["ast"], backend
 
 
 class TestSliceProtocol:
     @EVERY
     def test_yield_then_done_accounting(self, backend):
-        machine = Machine(backend=backend)
-        env = machine_env(machine)
+        machine, program, env = prepare(WORK, backend)
         runner = SliceRunner.for_machine(
-            machine,
-            lambda: observe(
-                compile_expr(WORK), env=env, machine=machine
-            ),
+            machine, lambda: observe(program, env=env, machine=machine)
         )
         statuses = []
         while True:
@@ -170,13 +160,9 @@ class TestSliceProtocol:
     @EVERY
     def test_interrupt_while_parked(self, backend):
         sink = RingBufferSink(capacity=10_000)
-        machine = Machine(backend=backend, sink=sink)
-        env = machine_env(machine)
+        machine, program, env = prepare(SPIN, backend, sink=sink)
         runner = SliceRunner.for_machine(
-            machine,
-            lambda: observe(
-                compile_expr(SPIN), env=env, machine=machine
-            ),
+            machine, lambda: observe(program, env=env, machine=machine)
         )
         assert runner.run_slice(100).state == SLICE_YIELDED
         runner.interrupt(CONTROL_C)
@@ -196,14 +182,13 @@ class TestSliceProtocol:
         # Interrupt a parked evaluation after exactly one 100-step
         # slice: delivery must land at the same step on every backend.
         at = {}
-        for backend in BACKENDS:
+        for backend in LOWERINGS:
             sink = RingBufferSink(capacity=10_000)
-            machine = Machine(backend=backend, sink=sink)
-            env = machine_env(machine)
+            machine, program, env = prepare(SPIN, backend, sink=sink)
             runner = SliceRunner.for_machine(
                 machine,
-                lambda env=env, machine=machine: observe(
-                    compile_expr(SPIN), env=env, machine=machine
+                lambda p=program, env=env, machine=machine: observe(
+                    p, env=env, machine=machine
                 ),
             )
             assert runner.run_slice(100).state == SLICE_YIELDED
@@ -217,7 +202,7 @@ class TestSliceProtocol:
             ]
             assert len(events) == 1
             at[backend] = events[0]["at"]
-        for backend in BACKENDS[1:]:
+        for backend in LOWERINGS[1:]:
             assert at[backend] == at["ast"], backend
 
     @EVERY
@@ -225,16 +210,12 @@ class TestSliceProtocol:
         # The scheduler's preemption path: an injected governor trip is
         # delivered mid-slice through poll() -> _interrupt, and
         # registers as an ordinary TripRecord.
-        machine = Machine(backend=backend)
-        env = machine_env(machine)
+        machine, program, env = prepare(SPIN, backend)
         governor = ResourceGovernor(GovernorLimits())
         machine.attach_governor(governor)
         governor.start()
         runner = SliceRunner.for_machine(
-            machine,
-            lambda: observe(
-                compile_expr(SPIN), env=env, machine=machine
-            ),
+            machine, lambda: observe(program, env=env, machine=machine)
         )
         assert runner.run_slice(50).state == SLICE_YIELDED
         governor.inject("tenant-steps", TIMEOUT)
@@ -255,13 +236,12 @@ class TestSliceProtocol:
         # A step-budget trip must land at the identical step whether
         # or not the run is sliced — the governor cannot see the gate.
         def trip_step(sliced):
-            machine = Machine(backend=backend)
-            env = machine_env(machine)
+            machine, program, env = prepare(SPIN, backend)
             governor = ResourceGovernor(GovernorLimits(max_steps=200))
             machine.attach_governor(governor)
             governor.start()
             thunk = lambda: observe(  # noqa: E731
-                compile_expr(SPIN), env=env, machine=machine
+                program, env=env, machine=machine
             )
             if sliced:
                 out = run_sliced(machine, thunk, 7)

@@ -4,7 +4,8 @@ byte-identical to a freshly built one.
 The snapshot layer (repro.machine.snapshot) shares a fully memoised
 prelude heap between machines.  That is only sound if *nothing
 observable* distinguishes a fork from the cold construction — so this
-suite compares, across both backends, several strategies (including
+suite compares, across both backends and the closure tier, several
+strategies (including
 the stateful ``Shuffled`` RNG stream) and the outcome taxonomy:
 outcomes, machine counters, trace-event totals and raise provenance.
 It also pins the immutability invariant the sharing rests on: no
@@ -32,8 +33,7 @@ from repro.machine.snapshot import (
 )
 from repro.machine.strategy import LeftToRight, RightToLeft, Shuffled
 from repro.obs.sinks import CountingSink
-
-BACKENDS = ["ast", "compiled", "super"]
+from tests.conftest import LOWERINGS, backend_of, lower_for
 
 #: (name, source) — exercising values, prelude-heavy evaluation, both
 #: raise paths, strategy-sensitive imprecision, and provenance.
@@ -49,13 +49,15 @@ PROGRAMS = [
 STRATEGIES = [LeftToRight, RightToLeft, lambda: Shuffled(7)]
 
 
-def _observe_pair(snapshot, source, fuel=200_000, provenance=False):
+def _observe_pair(
+    snapshot, source, backend, fuel=200_000, provenance=False
+):
     """(warm, cold) observations with full instrumentation attached —
     each entry is (outcome, stats-dict, event-dict, provenance)."""
-    expr = compile_expr(source)
     results = []
     for maker in (snapshot.fork, snapshot.cold_start):
         machine, env = maker(fuel=fuel)
+        expr, env = lower_for(backend, compile_expr(source), env, machine)
         sink = CountingSink()
         machine.attach_sink(sink)
         outcome = observe(
@@ -85,99 +87,101 @@ def _observe_pair(snapshot, source, fuel=200_000, provenance=False):
 
 
 class TestParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     @pytest.mark.parametrize(
         "name,source", PROGRAMS, ids=[n for n, _ in PROGRAMS]
     )
     def test_fork_matches_cold_start(self, backend, name, source):
-        snapshot = shared_snapshot(backend=backend)
-        warm, cold = _observe_pair(snapshot, source)
+        snapshot = shared_snapshot(backend=backend_of(backend))
+        warm, cold = _observe_pair(snapshot, source, backend)
         assert warm[0] == cold[0], "outcomes diverged"
         assert warm[1] == cold[1], "machine counters diverged"
         assert warm[2] == cold[2], "trace-event totals diverged"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     @pytest.mark.parametrize("make_strategy", STRATEGIES)
     def test_parity_across_strategies(self, backend, make_strategy):
         snapshot = PreludeSnapshot.build(
-            backend=backend, strategy=make_strategy()
+            backend=backend_of(backend), strategy=make_strategy()
         )
         for _name, source in PROGRAMS:
-            warm, cold = _observe_pair(snapshot, source)
+            warm, cold = _observe_pair(snapshot, source, backend)
             assert warm[:3] == cold[:3], (source, warm, cold)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_shuffled_rng_stream_is_replayed_per_fork(self, backend):
         """Every fork (and every cold start) consumes the Shuffled RNG
         from the same post-warm-up point: repeat forks observe the same
         member of ``{DivideByZero, UserError}``, and so does cold."""
         snapshot = PreludeSnapshot.build(
-            backend=backend, strategy=Shuffled(3)
+            backend=backend_of(backend), strategy=Shuffled(3)
         )
         source = "(1 `div` 0) + head Nil"
         outcomes = []
         for _ in range(3):
-            (warm, cold) = _observe_pair(snapshot, source)
+            (warm, cold) = _observe_pair(snapshot, source, backend)
             assert warm[0] == cold[0]
             outcomes.append(warm[0])
         assert len({str(o) for o in outcomes}) == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_provenance_parity(self, backend):
         """The recorded raise journey — site span, force chain, depth,
         decision index — is identical on a fork and a cold machine."""
-        snapshot = shared_snapshot(backend=backend)
+        snapshot = shared_snapshot(backend=backend_of(backend))
         for source in ("head Nil", "1 `div` 0", "sum (Cons 1 (Cons (2 `div` 0) Nil))"):
-            warm, cold = _observe_pair(snapshot, source, provenance=True)
+            warm, cold = _observe_pair(
+                snapshot, source, backend, provenance=True
+            )
             assert warm[3] is not None
             assert warm[3] == cold[3], source
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_divergence_parity(self, backend):
-        snapshot = shared_snapshot(backend=backend)
+        snapshot = shared_snapshot(backend=backend_of(backend))
         source = "let { loop = \\x -> loop x } in loop 1"
-        warm, cold = _observe_pair(snapshot, source, fuel=5_000)
+        warm, cold = _observe_pair(snapshot, source, backend, fuel=5_000)
         assert str(warm[0]) == "Diverged" == str(cold[0])
         assert warm[1] == cold[1]
         assert warm[2] == cold[2]
 
 
 class TestImmutability:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_snapshot_heap_is_fully_memoised(self, backend):
-        snapshot = PreludeSnapshot.build(backend=backend)
+        snapshot = PreludeSnapshot.build(backend=backend_of(backend))
         assert mutable_cells(snapshot.env) == []
         for cell in snapshot.env.values():
             assert cell.state in (_VALUE, _RAISE)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_requests_cannot_perturb_the_snapshot(self, backend):
         """Values, raises, async interrupts and divergence all leave
         the shared heap untouched — the property that makes concurrent
         forking safe."""
-        snapshot = PreludeSnapshot.build(backend=backend)
+        snapshot = PreludeSnapshot.build(backend=backend_of(backend))
         sources = [s for _, s in PROGRAMS]
         sources.append("let { loop = \\x -> loop x } in loop 1")
         for source in sources:
             machine, env = snapshot.fork(fuel=5_000)
-            expr = compile_expr(source)
+            expr, env = lower_for(backend, compile_expr(source), env, machine)
             try:
                 machine.eval(expr, env)
             except (ObjRaise, AsyncInterrupt, MachineDiverged):
                 pass
             assert mutable_cells(snapshot.env) == [], source
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_forks_are_isolated(self, backend):
         """One fork's counters and heap writes never leak into
         another's — request cells are per-fork allocations."""
-        snapshot = shared_snapshot(backend=backend)
+        snapshot = shared_snapshot(backend=backend_of(backend))
         expr = compile_expr("sum (enumFromTo 1 30)")
         first, env = snapshot.fork()
-        first.eval(expr, env)
+        first.eval(*lower_for(backend, expr, env, first))
         second, env2 = snapshot.fork()
         assert second.stats.steps == 0
-        second.eval(expr, env2)
+        second.eval(*lower_for(backend, expr, env2, second))
         assert first.stats.as_dict() == second.stats.as_dict()
 
 
@@ -202,7 +206,7 @@ class TestHelpers:
             backend="ast"
         )
         assert shared_snapshot(backend="ast") is not shared_snapshot(
-            backend="compiled"
+            backend="super"
         )
 
     def test_strategy_key_names_the_strategy(self):

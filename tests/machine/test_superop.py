@@ -1,7 +1,6 @@
-"""The superinstruction backend's own surface: profile parsing and
-heat classification, profile-guided fusion gating, constant folding
-through memoised prelude cells, the source-keyed code-object cache,
-and decision-decorated flamegraph parity.
+"""The superinstruction backend's own surface: fusion sites, constant
+folding through memoised prelude cells, the source-keyed code-object
+cache, and decision-decorated flamegraph parity.
 
 Observable parity with the other backends lives in
 tests/machine/test_backends.py (every test there runs under
@@ -9,19 +8,11 @@ tests/machine/test_backends.py (every test there runs under
 on the super backend.
 """
 
-import pytest
-
-from repro.api import compile_expr, observe_source
-from repro.machine import Machine, Normal, SuperMachine, observe
-from repro.machine.superop import (
-    CODE_CACHE_SIZE,
-    _compile_fused,
-    compile_super,
-    load_profile,
-    normalize_profile,
-    span_heat,
-)
+from repro.api import compile_expr
+from repro.machine import Machine, Normal, observe
+from repro.machine.superop import CODE_CACHE_SIZE, _compile_fused, compile_super
 from repro.prelude.loader import machine_env
+from tests.conftest import CLOSURE, lower_for, machine_for
 
 FIB = (
     "let { fib = \\n -> if n < 2 then n "
@@ -29,66 +20,14 @@ FIB = (
 )
 
 
-def run(source, **kwargs):
-    machine = Machine(backend="super", **kwargs)
+def run(source):
+    machine = Machine(backend="super")
     env = machine_env(machine)
     out = observe(compile_expr(source), env=env, machine=machine)
     return out, machine
 
 
-class TestSpanHeat:
-    FOLDED = [
-        "<root>;fib 1",
-        "<root>;fib;fib 96",
-        "<root>;sum 2",
-        "",
-        "not-a-folded-line",
-        "<root> 1",
-    ]
-
-    def test_counts_attribute_to_leaf_frames(self):
-        heat = span_heat(self.FOLDED)
-        # fib collected 97 of 100 leaf steps; the rest are cold at the
-        # default 1% cut only if below it — sum (2%) and <root> (1%)
-        # clear the bar, so everything here is hot.
-        assert heat["fib"] is True
-        assert heat["sum"] is True
-
-    def test_fraction_raises_the_bar(self):
-        heat = span_heat(self.FOLDED, fraction=0.5)
-        assert heat == {"fib": True, "sum": False, "<root>": False}
-
-    def test_decision_decorations_are_stripped(self):
-        plain = span_heat(["<root>;fib 10", "<root>;sum 1"])
-        decorated = span_heat(["<root>@d0;fib@d3 10", "<root>@d0;sum@d7 1"])
-        assert decorated == plain
-
-    def test_empty_profile_is_empty_map(self):
-        assert span_heat([]) == {}
-        assert span_heat(["garbage", ""]) == {}
-
-
-class TestNormalizeProfile:
-    def test_none_means_fuse_everything(self):
-        assert normalize_profile(None) is None
-
-    def test_dict_is_copied_through(self):
-        heat = {"fib": True, "sum": False}
-        normalized = normalize_profile(heat)
-        assert normalized == heat
-        assert normalized is not heat
-
-    def test_iterable_of_folded_lines(self):
-        assert normalize_profile(["<root>;fib 10"]) == {"fib": True}
-
-    def test_path_loads_folded_file(self, tmp_path):
-        path = tmp_path / "profile.folded"
-        path.write_text("<root>;fib 99\n<root>;sum 1\n")
-        assert normalize_profile(str(path)) == load_profile(str(path))
-        assert normalize_profile(str(path))["fib"] is True
-
-
-class TestProfileGuidedFusion:
+class TestFusionSites:
     def test_default_fuses_hot_shapes(self):
         out, machine = run(FIB)
         assert isinstance(out, Normal)
@@ -96,37 +35,6 @@ class TestProfileGuidedFusion:
         assert report["prim"] > 0
         assert report["case"] > 0
         assert report["app"] > 0
-
-    def test_all_cold_profile_suppresses_fusion(self):
-        # A profile that marks the root region cold (and names no hot
-        # span) turns the super backend into the plain compiled
-        # lowering: zero fusion sites claimed, identical observations.
-        from repro.obs.attribution import ROOT
-
-        out_cold, cold_machine = run(FIB, profile={ROOT: False})
-        out_hot, hot_machine = run(FIB)
-        assert out_cold == out_hot
-        assert cold_machine.stats.snapshot() == hot_machine.stats.snapshot()
-        assert sum(cold_machine.fusion_report().values()) == 0
-        assert sum(hot_machine.fusion_report().values()) > 0
-
-    def test_machine_dispatch_accepts_profile_kwarg(self):
-        machine = Machine(backend="super", profile={"fib": True})
-        assert type(machine) is SuperMachine
-        assert machine._heat == {"fib": True}
-
-    def test_profile_requires_super_backend(self):
-        with pytest.raises(TypeError):
-            Machine(backend="compiled", profile={"fib": True})
-
-    def test_observe_source_profile_plumbs_through(self):
-        out = observe_source(FIB, backend="super", profile={"fib": False})
-        assert isinstance(out, Normal)
-        assert str(out.value) == "55"
-
-    def test_observe_source_profile_rejects_other_backends(self):
-        with pytest.raises(ValueError):
-            observe_source(FIB, backend="compiled", profile={})
 
 
 class TestConstantFolding:
@@ -145,18 +53,20 @@ class TestConstantFolding:
         # Warm-heap parity: re-evaluating against an already-memoised
         # environment lets the super compiler fold the forced globals,
         # but its second-run counters must still match the unfused
-        # compiled backend doing the same warm re-evaluation — folding
+        # closure tier doing the same warm re-evaluation — folding
         # removes indirections, not ticks.
-        source = "sum (enumFromTo 1 5)"
+        expr = compile_expr("sum (enumFromTo 1 5)")
         second = {}
-        for backend in ("compiled", "super"):
-            machine = Machine(backend=backend)
+        for backend in (CLOSURE, "super"):
+            machine = machine_for(backend)
             env = machine_env(machine)
-            observe(compile_expr(source), env=env, machine=machine)
-            out = observe(compile_expr(source), env=env, machine=machine)
+            for _ in range(2):
+                out = observe(
+                    *lower_for(backend, expr, env, machine), machine=machine
+                )
             assert isinstance(out, Normal)
             second[backend] = machine.stats.snapshot().as_dict()
-        assert second["super"] == second["compiled"]
+        assert second["super"] == second[CLOSURE]
 
 
 class TestCodeCache:
@@ -218,9 +128,3 @@ class TestDecisionDecoratedFlames:
         assert any("@d" in line for line in reference)
         for backend in BACKENDS[1:]:
             assert self._folded(backend) == reference, backend
-
-    def test_decorated_profile_steers_like_plain(self):
-        decorated = span_heat(self._folded("super"))
-        out, machine = run(FIB, profile=decorated)
-        assert isinstance(out, Normal)
-        assert str(out.value) == "55"

@@ -5,8 +5,9 @@ consumer asked for (``Machine._rearm``).  The reference below restores
 per-step polling — every tick slow, as when any consumer was attached
 before the watermark existed — and every case must observe the same
 outcome, ``MachineStats`` (rare event counters included), governor
-``TripRecord``s, ``faults_injected`` and event trace on all three
-backends.
+``TripRecord``s, ``faults_injected`` and event trace on both backends
+and on the closure tier (``super`` running ``compile_top`` code, whose
+inlined ticks are the closure lowering's own).
 """
 
 import dataclasses
@@ -30,8 +31,7 @@ from repro.machine.strategy import LeftToRight
 from repro.machine.values import VIO
 from repro.obs.sinks import RingBufferSink
 from repro.serve.governor import GovernorLimits, ResourceGovernor
-
-BACKENDS = ["ast", "compiled", "super"]
+from tests.conftest import LOWERINGS, backend_of, lower_for
 
 FIB = (
     "let { fib = \\n -> if n < 2 then n else fib (n - 1) + fib (n - 2) } "
@@ -147,8 +147,10 @@ def observe_run(
     timeout_as_exception=False,
 ):
     # A fork, plus the Section 5.1 event plan forks do not take.
-    env = shared_snapshot(backend).env
-    machine = Machine(backend=backend, fuel=fuel, event_plan=events)
+    env = shared_snapshot(backend_of(backend)).env
+    machine = Machine(
+        backend=backend_of(backend), fuel=fuel, event_plan=events
+    )
     if reference:
         per_step_polling(machine)
     ticks = itertools.count()
@@ -178,7 +180,7 @@ def observe_run(
     if governor is not None:
         machine.attach_governor(governor)
         governor.start()
-    expr = compile_expr(source)
+    expr, env = lower_for(backend, compile_expr(source), env, machine)
 
     def evaluate():
         try:
@@ -294,7 +296,7 @@ def _assert_same(run, ref):
     assert run.slices == ref.slices
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_watermark_matches_per_step_polling(case, backend):
     kwargs = CASES[case]
@@ -304,7 +306,7 @@ def test_watermark_matches_per_step_polling(case, backend):
     assert run.slow_ticks < ref.slow_ticks
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 @pytest.mark.parametrize(
     "case", ["alloc-cap-caught", "all-limits", "inject", "fault-plan-1-600"]
 )
@@ -318,7 +320,7 @@ def test_traced_runs_match_per_step_polling(case, backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 def test_allocation_cap_two_below_the_total(backend):
     limits = GovernorLimits(max_allocations=_alloc_total(RERAISE, backend) - 2)
     run = observe_run(RERAISE, backend, reference=False, limits=limits)
@@ -327,7 +329,7 @@ def test_allocation_cap_two_below_the_total(backend):
     assert [trip.reason for trip in run.trips] == ["allocations"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 def test_collisions_at_one_step_are_delivered_on_the_next(backend):
     # Two triggers due at the same tick: the first wins it, and the
     # other — its counter already past the watermark — must land on
@@ -358,7 +360,7 @@ def test_collisions_at_one_step_are_delivered_on_the_next(backend):
         assert run.stats["async_interrupts"] == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 @pytest.mark.parametrize("slice_steps", [1, 7, 64, 2_000])
 def test_slice_gate_matches_per_step_polling(backend, slice_steps):
     kwargs = dict(
@@ -389,10 +391,10 @@ def _start_loop(backend):
     """LOOP on a worker thread, in one 10M-step slice under a governor
     with no limits: nothing but an injection (or the 500k-step fuel
     ceiling) ends it."""
-    machine, env = shared_snapshot(backend).fork(fuel=500_000)
+    machine, env = shared_snapshot(backend_of(backend)).fork(fuel=500_000)
     governor = ResourceGovernor(GovernorLimits())
     machine.attach_governor(governor)
-    expr = compile_expr(LOOP)
+    expr, env = lower_for(backend, compile_expr(LOOP), env, machine)
 
     def evaluate():
         try:
@@ -414,7 +416,7 @@ def _start_loop(backend):
     return machine, governor, runner, worker, outcome
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 def test_cross_thread_injections_are_never_lost(backend):
     # A wake lost to a race with the watermark re-arm would leave the
     # watermark at the fuel ceiling, where the injection would only be

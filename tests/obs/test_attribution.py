@@ -18,6 +18,7 @@ from repro.obs import (
 )
 from repro.obs.attribution import NO_SPAN, ROOT
 from repro.prelude.loader import machine_env
+from tests.conftest import LOWERINGS, prepare
 
 
 class TestStackMachine:
@@ -165,17 +166,16 @@ class TestEndToEnd:
         )
         assert total_steps == machine.stats.steps
 
-    @pytest.mark.parametrize("backend", ["ast", "compiled"])
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_prim_raise_attribution_end_to_end(self, backend):
         # A division by zero has no `raise` expression; the distinct
         # prim-raise event lets the profiler charge it to the `div`
-        # application's span — identically on both backends.
-        expr = compile_expr("let { f = \\x -> x `div` 0 } in f 3 + 2")
+        # application's span — identically on every lowering.
         profiler = SpanProfiler()
-        machine = Machine(backend=backend)
-        outcome = observe(
-            expr, env=machine_env(machine), machine=machine, sink=profiler
+        machine, program, env = prepare(
+            "let { f = \\x -> x `div` 0 } in f 3 + 2", backend
         )
+        outcome = observe(program, env=env, machine=machine, sink=profiler)
         assert outcome.exc.name == "DivideByZero"
         # The div site (1:17-26) gets the charge; stats.raises stays 0
         # (prim-raise is deliberately not in lockstep with it).
@@ -183,19 +183,16 @@ class TestEndToEnd:
         assert machine.stats.raises == 0
 
     def test_prim_raise_and_raise_streams_agree_across_backends(self):
-        expr = compile_expr("(1 `div` 0) + raise Overflow")
         streams = {}
-        for backend in ("ast", "compiled"):
+        for backend in LOWERINGS:
             profiler = SpanProfiler()
-            machine = Machine(backend=backend)
-            observe(
-                expr,
-                env=machine_env(machine),
-                machine=machine,
-                sink=profiler,
+            machine, program, env = prepare(
+                "(1 `div` 0) + raise Overflow", backend
             )
+            observe(program, env=env, machine=machine, sink=profiler)
             streams[backend] = profiler.as_dict()
-        assert streams["ast"] == streams["compiled"]
+        for backend in LOWERINGS[1:]:
+            assert streams[backend] == streams["ast"], backend
 
     def test_attribution_does_not_perturb_counters(self):
         expr = compile_expr("sum [1, 2, 3]")

@@ -80,8 +80,8 @@ class TestRendering:
 
 
 class TestCompiledBackendProfile:
-    """``repro profile --backend compiled``: the report names its
-    backend and reports exactly the AST walker's numbers."""
+    """``repro profile --backend super``: the compiled backend's report
+    names its backend and reports exactly the AST walker's numbers."""
 
     SOURCE = (
         "let { fib = \\n -> if n < 2 then n "
@@ -90,15 +90,15 @@ class TestCompiledBackendProfile:
 
     def test_report_names_its_backend(self):
         ast = profile_source(self.SOURCE, backend="ast")
-        compiled = profile_source(self.SOURCE, backend="compiled")
+        compiled = profile_source(self.SOURCE, backend="super")
         assert ast.backend == "ast"
-        assert compiled.backend == "compiled"
-        assert "backend  compiled" in compiled.to_table()
-        assert compiled.as_dict()["backend"] == "compiled"
+        assert compiled.backend == "super"
+        assert "backend  super" in compiled.to_table()
+        assert compiled.as_dict()["backend"] == "super"
 
     def test_counters_match_ast_exactly(self):
         ast = profile_source(self.SOURCE, backend="ast")
-        compiled = profile_source(self.SOURCE, backend="compiled")
+        compiled = profile_source(self.SOURCE, backend="super")
         assert ast.machine_stats == compiled.machine_stats
         assert ast.events == compiled.events
         assert ast.outcome == compiled.outcome
@@ -108,21 +108,21 @@ class TestCompiledBackendProfile:
             self.SOURCE, backend="ast", attribution=True
         )
         compiled = profile_source(
-            self.SOURCE, backend="compiled", attribution=True
+            self.SOURCE, backend="super", attribution=True
         )
         assert ast.span_totals == compiled.span_totals
         assert ast.span_totals  # attribution actually ran
 
     def test_flame_output_identical(self, tmp_path):
         paths = {}
-        for backend in ("ast", "compiled"):
+        for backend in ("ast", "super"):
             path = tmp_path / f"{backend}.folded"
             report = profile_source(
                 self.SOURCE, backend=backend, flame=str(path)
             )
             assert report.flame_path == str(path)
             paths[backend] = path.read_text()
-        assert paths["ast"] == paths["compiled"]
+        assert paths["ast"] == paths["super"]
         assert paths["ast"].strip(), "folded output is empty"
 
     def test_attribution_off_by_default(self):

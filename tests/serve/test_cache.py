@@ -43,8 +43,8 @@ class TestKeying:
 
     def test_distinct_backends_do_not_share_entries(self):
         ast = _cache(backend="ast")
-        compiled = _cache(backend="compiled")
-        assert ast.key_for("1") != compiled.key_for("1")
+        fused = _cache(backend="super")
+        assert ast.key_for("1") != fused.key_for("1")
 
 
 class TestLRU:
@@ -130,15 +130,14 @@ class TestCachedProgram:
         assert status == "type-error"
         assert message
 
-    @pytest.mark.parametrize("backend", ["compiled", "super"])
-    def test_code_compiles_once_and_is_shared_across_forks(self, backend):
+    def test_code_compiles_once_and_is_shared_across_forks(self):
         """The lowered artifact bakes the snapshot's frozen cells in,
         so one compilation serves every fork of that snapshot — in
         each tier: the closure tree an entry's first use builds, and
-        (super backend) the fused frames its first cache hit builds."""
-        snapshot = shared_snapshot(backend=backend)
+        the fused frames its first cache hit builds."""
+        snapshot = shared_snapshot(backend="super")
         cache = ProgramCache(
-            backend=backend,
+            backend="super",
             strategy_key=snapshot.strategy_key(),
         )
 
@@ -159,19 +158,10 @@ class TestCachedProgram:
         closure, tier = lower_twice(entry)
         assert tier == "closure"
         assert cache.lookup("sum (enumFromTo 1 10)") is entry
-        if backend == "super":
-            fused, tier = lower_twice(entry)
-            assert tier == "fused"
-            assert fused is not closure
-            assert cache.stats()["promotions"] == 1
-        else:
-            m, _ = snapshot.fork()
-            assert entry.lower(snapshot.env, m.strategy) == (
-                closure,
-                "closure",
-                False,
-            )
-            assert cache.stats()["promotions"] == 0
+        fused, tier = lower_twice(entry)
+        assert tier == "fused"
+        assert fused is not closure
+        assert cache.stats()["promotions"] == 1
 
     def test_entry_shape(self):
         entry = CachedProgram(("k",), "1", object(), None)

@@ -2,7 +2,8 @@
 trace sink: ``MachineStats.event_counts()`` must report exactly what a
 ``CountingSink`` attached to the same run counts — same names, same
 totals, same (sorted) key order, zero counts omitted — on every
-backend, with and without chaos faults, for pure and IO programs."""
+backend and the closure tier a served program first runs on, with and
+without chaos faults, for pure and IO programs."""
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.chaos.faults import FaultPlan
 from repro.core.excset import TIMEOUT
 from repro.fuzz.gen import generate_case
 from repro.io.run import IOExecutor
-from repro.machine import Machine
 from repro.machine.heap import AsyncInterrupt, Cell, MachineDiverged, ObjRaise
 from repro.machine.snapshot import shared_snapshot
 from repro.machine.values import VIO
@@ -26,13 +26,13 @@ from repro.obs.events import (
 from repro.obs.sinks import CountingSink
 from repro.serve import EvalService, ServiceConfig
 from repro.serve.governor import GovernorLimits, ResourceGovernor
+from tests.conftest import LOWERINGS, backend_of, lower_for, machine_for
 
-BACKENDS = ["ast", "compiled", "super"]
 SEEDS = range(40)
 
 
 def _run(source, backend, stdin, fault_seed, sink):
-    machine, env = shared_snapshot(backend).fork(fuel=8_000_000)
+    machine, env = shared_snapshot(backend_of(backend)).fork(fuel=8_000_000)
     if sink is not None:
         machine.attach_sink(sink)
     governor = ResourceGovernor(
@@ -51,7 +51,9 @@ def _run(source, backend, stdin, fault_seed, sink):
     machine.attach_governor(governor)
     governor.start()
     try:
-        value = machine.eval(compile_expr(source), env)
+        value = machine.eval(
+            *lower_for(backend, compile_expr(source), env, machine)
+        )
         if isinstance(value, VIO):
             IOExecutor(machine=machine, stdin=stdin).run_cell(
                 Cell.ready(value)
@@ -77,7 +79,7 @@ def _assert_lockstep(sink_counts, counter_counts):
 
 
 @pytest.mark.parametrize("faults", [None, 7], ids=["clean", "faults"])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 def test_fuzz_cases_counters_match_sink(backend, faults):
     kinds = set()
     for seed in SEEDS:
@@ -102,7 +104,7 @@ RARE = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 @pytest.mark.parametrize("event", sorted(RARE))
 def test_rare_events_are_counted(backend, event):
     sink_counts, counter_counts = _served_run(RARE[event], backend)
@@ -110,20 +112,21 @@ def test_rare_events_are_counted(backend, event):
     _assert_lockstep(sink_counts, counter_counts)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LOWERINGS)
 def test_async_interrupt_and_fuel_grant_are_counted(backend):
     # An event plan interrupts the run; a watchdog-style fuel grant
     # follows a divergence inside getException.
-    machine = Machine(backend=backend, fuel=500, event_plan={50: TIMEOUT})
+    machine = machine_for(backend, fuel=500, event_plan={50: TIMEOUT})
     sink = CountingSink()
     machine.attach_sink(sink)
+    loop = compile_expr("let { loop = \\x -> loop x } in loop 1")
     with pytest.raises(AsyncInterrupt):
-        machine.eval(compile_expr("let { loop = \\x -> loop x } in loop 1"), {})
+        machine.eval(*lower_for(backend, loop, {}, machine))
     expr = compile_expr(
         "getException (let { loop = \\x -> loop x } in loop 1)"
     )
     executor = IOExecutor(machine=machine, timeout_as_exception=True)
-    executor.run_value(machine.eval(expr, {}))
+    executor.run_value(machine.eval(*lower_for(backend, expr, {}, machine)))
     counts = machine.stats.event_counts()
     assert counts[ASYNC_INTERRUPT] == 1
     assert counts[FUEL_GRANT] == 1

@@ -1,13 +1,13 @@
-"""Governor unit tests and the ISSUE's edge cases, on both backends:
-deadline inside ``catchIO``, allocation cap during a memoised
-re-raise, interrupts on the first/last step, retry exhaustion."""
+"""Governor unit tests and the ISSUE's edge cases, on both backends
+and the closure tier: deadline inside ``catchIO``, allocation cap
+during a memoised re-raise, interrupts on the first/last step, retry
+exhaustion."""
 
 import pytest
 
 from repro.api import compile_expr
 from repro.core.excset import CONTROL_C, HEAP_OVERFLOW, TIMEOUT
 from repro.io.run import IOExecutor
-from repro.machine import Machine
 from repro.machine.heap import Cell
 from repro.machine.observe import Exceptional, Normal, observe, show_value
 from repro.prelude.loader import machine_env
@@ -16,13 +16,21 @@ from repro.serve.governor import (
     GovernorLimits,
     ResourceGovernor,
 )
+from tests.conftest import LOWERINGS, lower_for, machine_for
 
 FIB = (
     "let { fib = \\n -> if n < 2 then n else fib (n - 1) + fib (n - 2) } "
     "in fib 10"
 )
 
-BACKENDS = ["ast", "compiled", "super"]
+
+
+def _program(source, backend, machine, env=None):
+    """``(program, env)``: ``source`` as ``backend`` runs it on
+    ``machine``, against ``env`` (a fresh prelude by default)."""
+    if env is None:
+        env = machine_env(machine)
+    return lower_for(backend, compile_expr(source), env, machine)
 
 
 class FakeClock:
@@ -52,20 +60,21 @@ class SteppingClock:
 
 
 def _governed(source, limits, backend="ast", clock=None):
-    machine = Machine(backend=backend)
+    machine = machine_for(backend)
     governor = ResourceGovernor(
         limits, clock=clock if clock is not None else FakeClock()
     )
     machine.attach_governor(governor)
     governor.start()
     outcome = observe(
-        compile_expr(source), env=machine_env(machine), machine=machine
+        *_program(source, backend, machine),
+        machine=machine,
     )
     return outcome, machine, governor
 
 
 class TestLimits:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_step_budget_delivers_timeout(self, backend):
         outcome, machine, governor = _governed(
             FIB, GovernorLimits(max_steps=100), backend
@@ -74,7 +83,7 @@ class TestLimits:
         assert machine.stats.steps == 101
         assert governor.trip.reason == "steps"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_allocation_cap_delivers_heap_overflow(self, backend):
         outcome, _, governor = _governed(
             FIB, GovernorLimits(max_allocations=50), backend
@@ -83,7 +92,7 @@ class TestLimits:
         assert governor.trip.reason == "allocations"
         assert governor.trip.exc == "HeapOverflow"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_deadline_delivers_timeout(self, backend):
         clock = SteppingClock(per_read=0.01)
         outcome, _, governor = _governed(
@@ -95,13 +104,14 @@ class TestLimits:
         assert outcome == Exceptional(TIMEOUT)
         assert governor.trip.reason == "deadline"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_unreached_limits_leave_outcome_and_counters_alone(
         self, backend
     ):
-        bare = Machine(backend=backend)
+        bare = machine_for(backend)
         base = observe(
-            compile_expr(FIB), env=machine_env(bare), machine=bare
+            *_program(FIB, backend, bare),
+            machine=bare,
         )
         outcome, machine, governor = _governed(
             FIB,
@@ -137,7 +147,7 @@ class TestLimits:
     def test_steps_identical_across_backends(self):
         outcomes = set()
         steps = set()
-        for backend in BACKENDS:
+        for backend in LOWERINGS:
             outcome, machine, _ = _governed(
                 FIB, GovernorLimits(max_steps=137), backend
             )
@@ -157,10 +167,10 @@ class TestDeadlineInsideCatch:
         "catchIO (returnIO (loop 1)) (\\e -> returnIO 99)"
     )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_handler_recovers_from_deadline(self, backend):
         clock = SteppingClock(per_read=0.001)
-        machine = Machine(backend=backend)
+        machine = machine_for(backend)
         governor = ResourceGovernor(
             GovernorLimits(deadline_seconds=0.05), clock=clock
         )
@@ -169,7 +179,7 @@ class TestDeadlineInsideCatch:
         env = machine_env(machine)
         executor = IOExecutor(machine=machine)
         result = executor.run_cell(
-            Cell(compile_expr(self.SOURCE), env)
+            Cell(*_program(self.SOURCE, backend, machine, env))
         )
         assert governor.trip.reason == "deadline"
         assert result.status == "ok"
@@ -187,19 +197,19 @@ class TestAllocCapDuringMemoisedReRaise:
         "(\\r1 -> getException (sum [1, 2, 3, 4, 5] + bad))"
     )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_heap_overflow_wins_during_re_raise(self, backend):
         # First pin down how many allocations the first getException
         # needs, then cap just above it so the governor trips during
         # the second (re-raising) evaluation.
-        probe = Machine(backend=backend)
+        probe = machine_for(backend)
         env = machine_env(probe)
         IOExecutor(machine=probe).run_cell(
-            Cell(compile_expr(self.SOURCE), env)
+            Cell(*_program(self.SOURCE, backend, probe, env))
         )
         total = probe.stats.allocations
 
-        machine = Machine(backend=backend)
+        machine = machine_for(backend)
         governor = ResourceGovernor(
             GovernorLimits(max_allocations=total - 2)
         )
@@ -207,7 +217,7 @@ class TestAllocCapDuringMemoisedReRaise:
         governor.start()
         env = machine_env(machine)
         result = IOExecutor(machine=machine).run_cell(
-            Cell(compile_expr(self.SOURCE), env)
+            Cell(*_program(self.SOURCE, backend, machine, env))
         )
         # getException converts the interrupt to Bad HeapOverflow; the
         # program still completes with a well-formed value.
@@ -216,7 +226,7 @@ class TestAllocCapDuringMemoisedReRaise:
         rendered = show_value(result.value, machine)
         assert "HeapOverflow" in rendered
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_memoised_raise_survives_the_interrupt(self, backend):
         # After an alloc-cap trip, re-forcing the memoised cell still
         # re-raises the original member — no corruption.
@@ -224,53 +234,58 @@ class TestAllocCapDuringMemoisedReRaise:
             "let { bad = 1 `div` 0 } in "
             "bindIO (getException bad) (\\r1 -> getException bad)"
         )
-        machine = Machine(backend=backend)
+        machine = machine_for(backend)
         governor = ResourceGovernor(GovernorLimits(max_allocations=10**9))
         machine.attach_governor(governor)
         governor.start()
         env = machine_env(machine)
         result = IOExecutor(machine=machine).run_cell(
-            Cell(compile_expr(source), env)
+            Cell(*_program(source, backend, machine, env))
         )
         assert result.status == "ok"
         assert "DivideByZero" in show_value(result.value, machine)
 
 
 class TestFirstAndLastStepInterrupts:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_interrupt_on_first_step(self, backend):
-        machine = Machine(event_plan={1: CONTROL_C}, backend=backend)
+        machine = machine_for(backend, event_plan={1: CONTROL_C})
         outcome = observe(
-            compile_expr(FIB), env=machine_env(machine), machine=machine
+            *_program(FIB, backend, machine),
+            machine=machine,
         )
         assert outcome == Exceptional(CONTROL_C)
         assert machine.stats.steps == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_interrupt_on_last_step(self, backend):
-        bare = Machine(backend=backend)
+        bare = machine_for(backend)
         base = observe(
-            compile_expr(FIB), env=machine_env(bare), machine=bare
+            *_program(FIB, backend, bare),
+            machine=bare,
         )
         assert isinstance(base, Normal)
         last = bare.stats.steps
-        machine = Machine(event_plan={last: CONTROL_C}, backend=backend)
+        machine = machine_for(backend, event_plan={last: CONTROL_C})
         outcome = observe(
-            compile_expr(FIB), env=machine_env(machine), machine=machine
+            *_program(FIB, backend, machine),
+            machine=machine,
         )
         assert outcome == Exceptional(CONTROL_C)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOWERINGS)
     def test_interrupt_one_past_the_end_never_fires(self, backend):
-        bare = Machine(backend=backend)
+        bare = machine_for(backend)
         base = observe(
-            compile_expr(FIB), env=machine_env(bare), machine=bare
+            *_program(FIB, backend, bare),
+            machine=bare,
         )
-        machine = Machine(
-            event_plan={bare.stats.steps + 1: CONTROL_C}, backend=backend
+        machine = machine_for(
+            backend, event_plan={bare.stats.steps + 1: CONTROL_C}
         )
         outcome = observe(
-            compile_expr(FIB), env=machine_env(machine), machine=machine
+            *_program(FIB, backend, machine),
+            machine=machine,
         )
         assert outcome == base
 

@@ -100,21 +100,22 @@ class TestSchedulerCore:
     def test_priority_orders_within_tenant(self):
         # Single worker busy on another tenant while one tenant queues
         # a batch task then an interactive one: the interactive task
-        # must be granted its first slice first.
+        # must be granted its first slice first.  Both runners are
+        # built up front and both tasks queue while the pool is paused,
+        # so the worker cannot rotate to tenant `t` and grant the batch
+        # task a slice before the interactive one is queued.
         started = []
         sched = CooperativeScheduler(workers=1, slice_steps=200)
         try:
             blocker = sched.submit(
                 "other", "normal", make_runner(SPIN, fuel=50_000_000)
             )
-            batch = sched.submit(
-                "t", "batch", make_runner(WORK, started=started)
-            )
-            inter = sched.submit(
-                "t",
-                "interactive",
-                make_runner(WORK, started=started),
-            )
+            batch_runner = make_runner(WORK, started=started)
+            inter_runner = make_runner(WORK, started=started)
+            sched.pause()
+            batch = sched.submit("t", "batch", batch_runner)
+            inter = sched.submit("t", "interactive", inter_runner)
+            sched.resume()
             assert batch.wait(timeout=30.0)
             assert inter.wait(timeout=30.0)
             assert inter.first_slice_at <= batch.first_slice_at

@@ -4,6 +4,7 @@ all deterministic (injected clocks, no real sleeping)."""
 
 import pytest
 
+from repro.machine import BACKENDS
 from repro.serve import EvalService, ServiceConfig
 from repro.serve.schema import RESPONSE_SCHEMAS, schema_sets
 
@@ -62,7 +63,7 @@ def _service(clock=None, **overrides):
 
 
 class TestSchemas:
-    @pytest.mark.parametrize("backend", ["ast", "compiled", "super"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_value(self, backend):
         service = _service(backend=backend)
         status, body, _ = service.handle({"expr": "1 + 2 * 3"})
@@ -81,7 +82,7 @@ class TestSchemas:
         assert body["stdout"] == "hi"
         assert_in_schema(body)
 
-    @pytest.mark.parametrize("backend", ["ast", "compiled", "super"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_exceptional(self, backend):
         service = _service(backend=backend)
         status, body, _ = service.handle({"expr": "1 `div` 0"})
@@ -379,7 +380,7 @@ class TestBatch:
 
 
 class TestWarmPath:
-    @pytest.mark.parametrize("backend", ["ast", "compiled", "super"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_warm_and_cold_responses_are_byte_identical(self, backend):
         """The parity contract at the service level: only latency may
         distinguish the paths (docs/SERVING.md's soundness argument)."""

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.machine import BACKENDS
 from repro.serve import EvalService, ServiceConfig
 from tests.serve.test_service import FakeClock, assert_in_schema
 
@@ -41,7 +42,7 @@ TOTAL_REQUESTS = 520
 WORKERS = 8
 
 
-@pytest.mark.parametrize("backend", ["ast", "compiled", "super"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_fault_driven_soak(backend):
     clock = FakeClock()
     config = ServiceConfig(

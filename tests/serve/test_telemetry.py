@@ -14,6 +14,7 @@ from repro.obs.telemetry import (
     parse_exposition,
     percentile_from_counts,
 )
+from repro.machine import BACKENDS
 from repro.serve import EvalService, ServiceConfig
 
 LOOP = "let { loop = \\x -> loop x } in loop 1"
@@ -255,7 +256,7 @@ class TestHistogramAccounting:
 class TestHistogramDeterminism:
     """Under a stepping clock, latency histograms are a pure function
     of the clock-read sequence — which (by the exact cross-backend
-    counter parity E13/E18 prove) is identical on every backend."""
+    counter parity E18 proves) is identical on every backend."""
 
     @staticmethod
     def _run(backend: str):
@@ -270,7 +271,7 @@ class TestHistogramDeterminism:
 
     def test_identical_buckets_and_percentiles_across_backends(self):
         baseline = self._run("ast")
-        for backend in ("compiled", "super"):
+        for backend in BACKENDS[1:]:
             other = self._run(backend)
             assert other["counts"] == baseline["counts"], backend
             for q in (0.5, 0.95, 0.99):

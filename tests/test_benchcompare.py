@@ -91,12 +91,12 @@ class TestCompare:
 
     def test_wallclock_fields_never_gate(self):
         seed = {
-            "E13": [
+            "E18": [
                 {"workload": "fib", "ast_seconds": 0.01, "speedup": 3.0}
             ]
         }
         fresh = {
-            "E13": [
+            "E18": [
                 {"workload": "fib", "ast_seconds": 9.99, "speedup": 0.1}
             ]
         }
@@ -183,13 +183,13 @@ class TestParallelRuns:
 
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
-        experiments = ["E1", "E13"]
+        experiments = ["E1", "E19"]
         assert run_benchmarks(str(serial), experiments, jobs=1) == 0
         assert run_benchmarks(str(parallel), experiments, jobs=0) == 0
         serial_files = sorted(p.name for p in serial.iterdir())
         parallel_files = sorted(p.name for p in parallel.iterdir())
         assert serial_files == parallel_files
-        assert serial_files == ["BENCH_E1.json", "BENCH_E13.json"]
+        assert serial_files == ["BENCH_E1.json", "BENCH_E19.json"]
 
         def deterministic(directory):
             return {

@@ -69,6 +69,28 @@ class TestEval:
         assert "<raise DivideByZero>" in out
 
 
+class TestRetiredOptions:
+    """``compiled`` is no backend and ``--profile-in`` no option: each
+    is a usage error (exit 2) naming what is left."""
+
+    @pytest.mark.parametrize("command", [["eval", "1"], ["serve"]])
+    def test_compiled_backend_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--backend", "compiled"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'compiled'" in err
+        assert "'ast', 'super'" in err
+
+    def test_profile_in_is_a_usage_error(self, capsys, tmp_path):
+        script = tmp_path / "hi.hs"
+        script.write_text('main = putStr "hi"\n')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(script), "--profile-in", "x"])
+        assert exit_info.value.code == 2
+        assert "--profile-in" in capsys.readouterr().err
+
+
 class TestLaw:
     def test_identity_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "law", "a + b", "b + a")
@@ -344,7 +366,7 @@ class TestExplain:
         script = tmp_path / "two.hs"
         script.write_text('main = (1 `div` 0) + error "boom"\n')
         code, out, _ = run_cli(
-            capsys, "explain", str(script), "--backend", "compiled"
+            capsys, "explain", str(script), "--backend", "super"
         )
         assert code == 0
         assert "DivideByZero" in out
@@ -374,10 +396,29 @@ class TestProfileAttribution:
 
     def test_compiled_backend_named_in_report(self, capsys):
         code, out, _ = run_cli(
-            capsys, "profile", "1 + 2", "--backend", "compiled"
+            capsys, "profile", "1 + 2", "--backend", "super"
         )
         assert code == 0
-        assert "backend  compiled" in out
+        assert "backend  super" in out
+
+
+class TestChaos:
+    def test_default_sweeps_every_backend(self, capsys):
+        import json
+
+        code, out, _ = run_cli(
+            capsys, "chaos", "1 + 2", "--limit", "2", "--format", "json"
+        )
+        assert code == 0
+        assert [report["backend"] for report in json.loads(out)] == [
+            "ast",
+            "super",
+        ]
+
+    def test_both_is_retired(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "1 + 2", "--backend", "both"])
+        assert exit_info.value.code == 2
 
 
 class TestBench:
