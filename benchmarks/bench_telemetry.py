@@ -55,9 +55,7 @@ _REQUESTS = 9
 
 
 def _service(backend: str, telemetry: bool) -> EvalService:
-    return EvalService(
-        ServiceConfig(backend=backend, warm=True, telemetry=telemetry)
-    )
+    return EvalService(ServiceConfig(backend=backend, telemetry=telemetry))
 
 
 def _drive(service: EvalService, source: str):

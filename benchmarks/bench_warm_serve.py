@@ -3,13 +3,16 @@
 The tentpole claim of docs/SERVING.md: serving a repeat program from
 the warm path (fork an immutable prelude snapshot, reuse the cached
 front-end artifacts) is an order of magnitude faster than the cold
-construction (rebuild and re-freeze the prelude heap, re-parse the
-source, re-lower on the ``super`` backend) — while the response
-bodies stay **byte-identical**.  Both halves are measured here:
+construction (rebuild the prelude heap with
+:func:`~repro.machine.snapshot.warm_machine`, re-parse the source,
+re-lower on the ``super`` backend) — while the response bodies stay
+**byte-identical**.  Both halves are measured here:
 
-* per-request p50 latency against a warm (``warm=True``) and a cold
-  (``warm=False``) :class:`~repro.serve.service.EvalService`, same
-  repeat-program workload, same limits;
+* per-request p50 latency of an
+  :class:`~repro.serve.service.EvalService` (warm) against the same
+  service with every attempt's machine rebuilt and its source
+  re-parsed (cold, :class:`_RebuildService`), same repeat-program
+  workload, same limits;
 * a field-for-field comparison of the warm and cold response bodies —
   outcome, rendered value, the full machine-counter block, the
   trace-event totals.  ``divergences`` is recorded as a deterministic
@@ -43,6 +46,7 @@ import repro.api as api
 import repro.machine.superop as superop
 from benchmarks.conftest import bench_record
 from repro.machine import BACKENDS
+from repro.machine.snapshot import warm_machine
 from repro.serve import EvalService, ServiceConfig
 
 #: Repeat-program workloads.  ``arith``/``zipwith`` are dominated by
@@ -68,10 +72,21 @@ _COLD_REQUESTS = 7
 _CI_SPEEDUP_FLOOR = 3.0
 
 
-def _service(backend: str, warm: bool) -> EvalService:
-    return EvalService(
-        ServiceConfig(backend=backend, warm=warm, retries=0)
-    )
+class _RebuildService(EvalService):
+    """The cold side: the served path with every attempt's machine
+    rebuilt from scratch by ``warm_machine`` and the source re-parsed
+    (so re-lowered on ``super``) instead of forking the snapshot and
+    running the cached program."""
+
+    def _machine(self, entry, builder):
+        machine, env = warm_machine(
+            backend=self.config.backend, fuel=self.config.backstop_fuel()
+        )
+        return machine, api.compile_expr(entry.source), env
+
+
+def _service(backend: str, cls=EvalService) -> EvalService:
+    return cls(ServiceConfig(backend=backend, retries=0))
 
 
 def _p50(service: EvalService, source: str, requests: int) -> float:
@@ -89,8 +104,8 @@ class TestWarmServeSpeedup:
     @pytest.mark.parametrize("name", sorted(E16_WORKLOADS))
     def test_p50_speedup_and_body_parity(self, backend, name):
         source = E16_WORKLOADS[name]
-        warm = _service(backend, warm=True)
-        cold = _service(backend, warm=False)
+        warm = _service(backend)
+        cold = _service(backend, _RebuildService)
 
         # Parity first (also primes the warm cache/snapshot, so the
         # timed loop below measures the steady state a repeat-program
@@ -142,7 +157,7 @@ class TestWarmServeSpeedup:
         Recorded, not gated — the two paths do the same evaluation
         work, so the difference is protocol overhead only."""
         source = E16_WORKLOADS["arith"]
-        service = _service(backend, warm=True)
+        service = _service(backend)
         service.handle({"expr": source})  # prime
 
         start = time.perf_counter()
@@ -218,7 +233,7 @@ class TestTieredLowering:
         )
 
         requests, well_formed = _cold_corpus()
-        service = _service("super", warm=True)
+        service = _service("super")
         try:
             passes = []
             for _ in range(2):

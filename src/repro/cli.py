@@ -424,9 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
             '{"programs": [...]} batch — under a per-request resource '
             "governor), GET /healthz (service counters) and GET "
             "/metrics (Prometheus text exposition) on a "
-            "stdlib-only threaded HTTP server.  By default requests "
-            "fork a warm prelude snapshot and repeat programs are "
-            "served from a content-addressed compile cache "
+            "stdlib-only threaded HTTP server.  Requests fork a warm "
+            "prelude snapshot and repeat programs are served from a "
+            "content-addressed compile cache "
             "(docs/SERVING.md); deadlines and allocation caps are "
             "delivered as the paper's Section 5.1 fictitious "
             "exceptions (docs/ROBUSTNESS.md).  Flags and response "
@@ -949,32 +949,17 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.serve.http import serve_forever
+    from repro.serve.schema import SERVE_FLAGS
+    from repro.serve.service import ServiceConfig
 
-    return serve_forever(
-        host=args.host,
-        port=args.port,
-        backend=args.backend,
-        max_steps=args.max_steps,
-        max_allocations=args.max_allocations,
-        deadline=args.deadline,
-        max_concurrency=args.max_concurrency,
-        queue_depth=args.queue_depth,
-        retries=args.retries,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
-        fault_seed=args.fault_seed,
-        warm=args.warm,
-        cache_capacity=args.cache_capacity,
-        max_batch=args.max_batch,
-        telemetry=args.telemetry,
-        trace_ring=args.trace_ring,
-        trace_log=args.trace_log,
-        scheduler=args.scheduler,
-        workers=args.workers,
-        slice_steps=args.slice_steps,
-        tenant_max_in_flight=args.tenant_max_in_flight,
-        tenant_step_quota=args.tenant_step_quota,
+    config = ServiceConfig(
+        **{
+            spec.dest: getattr(args, spec.dest)
+            for spec in SERVE_FLAGS
+            if spec.dest is not None
+        }
     )
+    return serve_forever(args.host, args.port, config)
 
 
 def _cmd_top(args) -> int:

@@ -238,18 +238,3 @@ def check_law(
         if verdict == "identity" and not refines(rhs_val, lhs_val):
             verdict = "refinement"
     return LawReport(name, verdict, tested)
-
-
-def check_law_source(
-    lhs_src: str,
-    rhs_src: str,
-    name: str = "law",
-    **kwargs,
-) -> LawReport:
-    """Convenience: check a law given as two source strings."""
-    from repro.lang.match import flatten_case_patterns
-    from repro.lang.parser import parse_expr
-
-    lhs = flatten_case_patterns(parse_expr(lhs_src))
-    rhs = flatten_case_patterns(parse_expr(rhs_src))
-    return check_law(lhs, rhs, name=name, **kwargs)

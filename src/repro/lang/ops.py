@@ -104,17 +104,6 @@ _PRIMS = [
 PRIM_TABLE: Dict[str, PrimInfo] = {p.name: p for p in _PRIMS}
 
 
-def prim_info(name: str) -> PrimInfo:
-    try:
-        return PRIM_TABLE[name]
-    except KeyError:
-        raise KeyError(f"unknown primitive: {name!r}") from None
-
-
-def is_prim(name: str) -> bool:
-    return name in PRIM_TABLE
-
-
 # Surface-syntax operator table: (precedence, associativity, target).
 # Associativity: "left" | "right" | "none".  The target is either a
 # primitive name ("prim:NAME"), a prelude function ("var:NAME") or a

@@ -18,7 +18,7 @@ source, just less helpful.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 _SOURCES: Dict[str, str] = {}
 
@@ -26,15 +26,6 @@ _SOURCES: Dict[str, str] = {}
 def register_unit(name: str, source: str) -> None:
     """Register (or re-register) the source text of a named unit."""
     _SOURCES[name] = source
-
-
-def unit_source(name: str) -> Optional[str]:
-    """The full source text of a registered unit, or None."""
-    return _SOURCES.get(name)
-
-
-def registered_units() -> List[str]:
-    return sorted(_SOURCES)
 
 
 def source_line(unit: Optional[str], line: int) -> Optional[str]:

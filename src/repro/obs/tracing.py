@@ -12,8 +12,8 @@ Determinism contract: ``trace_id``s are allocated by the caller from a
 plain monotonic sequence (``EvalService`` does this under its lock),
 **not** from randomness or wall time, so two services fed the same
 request sequence mint identical ids — which is what keeps the
-warm/cold byte-identical-response parity suite meaningful with ids in
-the bodies.  All timestamps come from the injectable clock.
+fork-vs-rebuild byte-identical-response parity suite meaningful with
+ids in the bodies.  All timestamps come from the injectable clock.
 
 Export: a completed trace lands in a bounded in-memory ring
 (:class:`TraceRecorder`, the flight-recorder view served to tests and

@@ -1,4 +1,4 @@
-"""The content-addressed program cache behind the warm path.
+"""The content-addressed program cache behind ``repro serve``.
 
 A served program's front-end work — parse, pattern-flatten, optionally
 typecheck, and (on the ``super`` backend) lower to closures or fused
@@ -170,7 +170,13 @@ class ProgramCache:
         # Parse outside the lock: front-end work must not serialize
         # unrelated requests.  A concurrent duplicate miss is benign —
         # last writer wins and both entries are equivalent.
-        entry = self._build(key, source)
+        from repro.api import compile_expr
+
+        try:
+            expr, error = compile_expr(source), None
+        except Exception as err:
+            expr, error = None, str(err)
+        entry = CachedProgram(key, source, expr, error)
         entry.owner = self
         with self._lock:
             self._entries[key] = entry
@@ -179,16 +185,6 @@ class ProgramCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         return entry
-
-    @staticmethod
-    def _build(key: tuple, source: str) -> CachedProgram:
-        from repro.api import compile_expr
-
-        try:
-            expr = compile_expr(source)
-        except Exception as err:
-            return CachedProgram(key, source, None, str(err))
-        return CachedProgram(key, source, expr, None)
 
     def _count_promotion(self) -> None:
         with self._lock:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.serve.service import EvalService, ServiceConfig
 
@@ -167,69 +167,21 @@ def make_server(
     return server
 
 
-def serve_forever(
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    backend: str = "ast",
-    max_steps: int = 2_000_000,
-    max_allocations: int = 1_000_000,
-    deadline: float = 5.0,
-    max_concurrency: int = 4,
-    queue_depth: int = 16,
-    retries: int = 0,
-    breaker_threshold: int = 5,
-    breaker_reset: float = 1.0,
-    fault_seed: Optional[int] = None,
-    warm: bool = True,
-    cache_capacity: int = 256,
-    max_batch: int = 32,
-    telemetry: bool = True,
-    trace_ring: int = 256,
-    trace_log: Optional[str] = None,
-    scheduler: str = "threads",
-    workers: int = 2,
-    slice_steps: int = 25_000,
-    tenant_max_in_flight: Optional[int] = None,
-    tenant_step_quota: Optional[int] = None,
-) -> int:
+def serve_forever(host: str, port: int, config: ServiceConfig) -> int:
     """The ``repro serve`` entry point: run until interrupted."""
-    config = ServiceConfig(
-        backend=backend,
-        max_steps=max_steps,
-        max_allocations=max_allocations,
-        deadline_seconds=deadline,
-        max_concurrency=max_concurrency,
-        queue_depth=queue_depth,
-        retries=retries,
-        breaker_threshold=breaker_threshold,
-        breaker_reset_seconds=breaker_reset,
-        fault_seed=fault_seed,
-        warm=warm,
-        cache_capacity=cache_capacity,
-        max_batch=max_batch,
-        telemetry=telemetry,
-        trace_ring=trace_ring,
-        trace_log=trace_log,
-        scheduler=scheduler,
-        workers=workers,
-        slice_steps=slice_steps,
-        tenant_max_in_flight=tenant_max_in_flight,
-        tenant_step_quota=tenant_step_quota,
-    )
     service = EvalService(config)
     server = make_server(host, port, service)
     bound_host, bound_port = server.server_address[:2]
     sched_note = (
-        f"cooperative scheduler: {workers} workers × "
-        f"{slice_steps}-step slices"
-        if scheduler == "cooperative"
-        else f"concurrency={max_concurrency}, queue={queue_depth}"
+        f"cooperative scheduler: {config.workers} workers × "
+        f"{config.slice_steps}-step slices"
+        if config.scheduler == "cooperative"
+        else f"concurrency={config.max_concurrency}, "
+        f"queue={config.queue_depth}"
     )
     print(
         f"repro serve: listening on http://{bound_host}:{bound_port} "
-        f"(backend={backend}, "
-        f"{'warm' if warm else 'cold'} path, "
-        f"{sched_note})",
+        f"(backend={config.backend}, {sched_note})",
         file=sys.stderr,
         flush=True,
     )

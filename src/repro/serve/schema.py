@@ -13,7 +13,8 @@ is now the single source of truth:
   ``docs/ROBUSTNESS.md``.
 * :data:`SERVE_FLAGS` — the ``repro serve`` flag table.  The CLI
   builds its argparse options from these specs, so ``--help`` cannot
-  drift either.
+  drift either; each flag's default is read from its
+  :class:`~repro.serve.service.ServiceConfig` field.
 
 Regenerate the docs block after editing this file::
 
@@ -24,7 +25,7 @@ Regenerate the docs block after editing this file::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
 
@@ -150,11 +151,7 @@ def schema_sets(status: str) -> Tuple[Set[str], Set[str]]:
 HEALTH_SCHEMA: Dict[str, Tuple[str, str]] = {
     "status": ("string", "always `\"ok\"` when the service answers"),
     "backend": ("string", "evaluator backend (`ast`/`super`)"),
-    "warm": ("bool", "snapshot-fork warm path enabled"),
-    "cache": (
-        "object/null",
-        "program-cache hits/misses/evictions/size (null when cold)",
-    ),
+    "cache": ("object", "program-cache hits/misses/evictions/size"),
     "batches": ("object", "batch envelopes and programs served"),
     "uptime_seconds": ("number", "seconds since service construction"),
     "requests_total": (
@@ -239,16 +236,8 @@ METRIC_FAMILIES: Tuple[MetricSpec, ...] = (
         "gauge",
         "circuit breaker: 0 closed, 1 half-open, 2 open",
     ),
-    MetricSpec(
-        "repro_cache_hits_total",
-        "counter",
-        "program-cache hits (0 on the cold path)",
-    ),
-    MetricSpec(
-        "repro_cache_misses_total",
-        "counter",
-        "program-cache misses (0 on the cold path)",
-    ),
+    MetricSpec("repro_cache_hits_total", "counter", "program-cache hits"),
+    MetricSpec("repro_cache_misses_total", "counter", "program-cache misses"),
     MetricSpec(
         "repro_governor_trips_total",
         "counter",
@@ -341,19 +330,32 @@ METRIC_FAMILIES: Tuple[MetricSpec, ...] = (
 
 @dataclass(frozen=True)
 class FlagSpec:
-    """One ``repro serve`` option, argparse- and docs-renderable."""
+    """One ``repro serve`` option, argparse- and docs-renderable.
+
+    ``dest`` names the :class:`~repro.serve.service.ServiceConfig`
+    field the flag sets, and the flag's default is that field's
+    default, so every service knob is declared once, on the dataclass.
+    Only the deployment flags (``--host``/``--port``) have no field and
+    carry their own ``default``."""
 
     flag: str
     help: str
     type: Optional[type] = None
+    dest: Optional[str] = None
     default: object = None
     choices: Optional[Tuple[str, ...]] = None
     action: Optional[str] = None  # e.g. "store_false" switches
-    dest: Optional[str] = None
-    kwargs: dict = field(default_factory=dict)
+
+    def resolved_default(self) -> object:
+        if self.dest is None:
+            return self.default
+        # Imported late: the service module imports this one.
+        from repro.serve.service import ServiceConfig
+
+        return ServiceConfig.__dataclass_fields__[self.dest].default
 
     def add_to(self, parser) -> None:
-        kwargs = dict(self.kwargs)
+        kwargs: dict = {}
         if self.action is not None:
             kwargs["action"] = self.action
         else:
@@ -363,144 +365,144 @@ class FlagSpec:
         if self.dest is not None:
             kwargs["dest"] = self.dest
         parser.add_argument(
-            self.flag, default=self.default, help=self.help, **kwargs
+            self.flag,
+            default=self.resolved_default(),
+            help=self.help,
+            **kwargs,
         )
 
     def default_text(self) -> str:
+        default = self.resolved_default()
         if self.action in ("store_true", "store_false"):
-            return "on" if self.default else "off"
-        return "—" if self.default is None else str(self.default)
+            return "on" if default else "off"
+        return "—" if default is None else str(default)
 
 
 SERVE_FLAGS: Tuple[FlagSpec, ...] = (
-    FlagSpec("--host", "interface to bind", str, "127.0.0.1"),
-    FlagSpec("--port", "port to bind (0 picks a free one)", int, 8080),
+    FlagSpec("--host", "interface to bind", str, default="127.0.0.1"),
+    FlagSpec(
+        "--port", "port to bind (0 picks a free one)", int, default=8080
+    ),
     FlagSpec(
         "--backend",
         "evaluator backend for every request",
         str,
-        "ast",
+        "backend",
         choices=("ast", "super"),
     ),
-    FlagSpec("--max-steps", "per-request step budget", int, 2_000_000),
+    FlagSpec("--max-steps", "per-request step budget", int, "max_steps"),
     FlagSpec(
-        "--max-allocations", "per-request allocation cap", int, 1_000_000
+        "--max-allocations",
+        "per-request allocation cap",
+        int,
+        "max_allocations",
     ),
     FlagSpec(
         "--deadline",
         "per-request wall-clock deadline (seconds)",
         float,
-        5.0,
+        "deadline_seconds",
     ),
     FlagSpec(
         "--max-concurrency",
         "requests evaluated concurrently (threads mode) or admitted "
         "in-flight (cooperative mode)",
         int,
-        4,
+        "max_concurrency",
     ),
     FlagSpec(
         "--scheduler",
         "execution model: one thread per request, or the fuel-sliced "
         "cooperative multi-tenant scheduler (docs/SERVING.md)",
         str,
-        "threads",
+        "scheduler",
         choices=("threads", "cooperative"),
     ),
     FlagSpec(
         "--workers",
         "cooperative scheduler worker threads",
         int,
-        2,
+        "workers",
     ),
     FlagSpec(
         "--slice-steps",
         "machine steps granted per cooperative scheduler slice",
         int,
-        25_000,
+        "slice_steps",
     ),
     FlagSpec(
         "--tenant-max-in-flight",
         "per-tenant admitted-request cap (429 `tenant-quota` beyond)",
         int,
-        None,
+        "tenant_max_in_flight",
     ),
     FlagSpec(
         "--tenant-step-quota",
         "per-tenant in-flight machine-step budget; beyond it the "
         "scheduler preempts with a mid-slice Timeout",
         int,
-        None,
+        "tenant_step_quota",
     ),
     FlagSpec(
         "--queue-depth",
         "admission queue length beyond the concurrency limit",
         int,
-        16,
+        "queue_depth",
     ),
     FlagSpec(
         "--retries",
         "retry budget for transiently failed evaluations",
         int,
-        0,
+        "retries",
     ),
     FlagSpec(
         "--breaker-threshold",
         "consecutive failures before the circuit breaker opens",
         int,
-        5,
+        "breaker_threshold",
     ),
     FlagSpec(
         "--breaker-reset",
         "seconds the breaker stays open before half-opening",
         float,
-        1.0,
+        "breaker_reset_seconds",
     ),
     FlagSpec(
         "--fault-seed",
         "attach a seeded chaos fault plan to every request (testing)",
         int,
-        None,
-    ),
-    FlagSpec(
-        "--no-warm",
-        "disable the warm path: rebuild the prelude per request "
-        "instead of forking the shared snapshot (docs/SERVING.md)",
-        default=True,
-        action="store_false",
-        dest="warm",
+        "fault_seed",
     ),
     FlagSpec(
         "--cache-capacity",
         "LRU bound on the content-addressed program cache",
         int,
-        256,
+        "cache_capacity",
     ),
     FlagSpec(
         "--max-batch",
         "largest accepted {\"programs\": [...]} batch",
         int,
-        32,
+        "max_batch",
     ),
     FlagSpec(
         "--no-telemetry",
         "disable the metrics registry and request tracing "
         "(request/trace ids are still echoed; docs/OBSERVABILITY.md)",
-        default=True,
-        action="store_false",
         dest="telemetry",
+        action="store_false",
     ),
     FlagSpec(
         "--trace-ring",
         "completed span trees kept in the in-memory ring",
         int,
-        256,
+        "trace_ring",
     ),
     FlagSpec(
         "--trace-log",
         "append one JSON line per completed trace to this file",
         str,
-        None,
+        "trace_log",
     ),
 )
 

@@ -6,17 +6,19 @@ per-evaluation semantics), a fresh
 :class:`~repro.serve.governor.ResourceGovernor`, and optionally a
 fresh seeded fault plan (chaos mode).
 
-Two request paths share one observable contract (docs/SERVING.md):
+There is one request path (docs/SERVING.md).  The machine is *forked*
+from a :class:`~repro.machine.snapshot.PreludeSnapshot` — a fully
+memoised, therefore immutable, prelude heap built once per process —
+and the front end (parse, flatten, typecheck, compile) is served from
+a content-addressed :class:`~repro.serve.cache.ProgramCache`, so a
+repeat program goes straight to evaluation.  The semantics is per
+evaluation, so a fork answers exactly as a machine rebuilt from
+scratch by :func:`~repro.machine.snapshot.warm_machine` would; the
+tests and E16 keep that rebuild as the reference.
 
-* **warm** (default): the machine is *forked* from a
-  :class:`~repro.machine.snapshot.PreludeSnapshot` — a fully memoised,
-  therefore immutable, prelude heap built once at service start — and
-  the front end (parse, flatten, typecheck, compile) is served from a
-  content-addressed :class:`~repro.serve.cache.ProgramCache`, so a
-  repeat program goes straight to evaluation;
-* **cold** (``warm=False``): PR 5's original construction — prelude
-  cells rebuilt and the source re-parsed per request — kept as the
-  benchmark baseline (E16) and escape hatch.
+A single program and a ``{"programs": [...]}`` batch pass the same
+gates, once per request: admission, the per-tenant quota, then the
+circuit breaker.
 
 The outcome is shaped into one of the structured statuses below
 (:mod:`repro.serve.schema` is the single source of truth for their
@@ -36,8 +38,10 @@ fields):
     retried under the backoff policy; step/allocation trips are
     deterministic and are not.
 ``rejected``
-    The request never reached a machine: admission queue full, or the
-    circuit breaker is open (fast rejection with Retry-After).
+    The request never reached a machine: admission queue full
+    (``queue-full``), its tenant at its in-flight quota
+    (``tenant-quota``), or the circuit breaker open (``circuit-open``)
+    — fast rejection with Retry-After.
 
 Concurrency is bounded twice: ``max_concurrency`` machines evaluate at
 once, and at most ``queue_depth`` further requests wait; beyond that,
@@ -72,11 +76,7 @@ from repro.machine.observe import (
     Normal,
     show_value,
 )
-from repro.machine.snapshot import (
-    PreludeSnapshot,
-    shared_snapshot,
-    warm_machine,
-)
+from repro.machine.snapshot import PreludeSnapshot, shared_snapshot
 from repro.machine.slices import SliceRunner
 from repro.machine.values import VIO
 from repro.obs.sinks import JsonlSink
@@ -105,6 +105,11 @@ from repro.serve.schema import METRIC_FAMILIES
 #: Circuit-breaker states as the ``repro_breaker_state`` gauge value.
 _BREAKER_STATES = {"closed": 0, "half-open": 1, "open": 2}
 
+#: Bounds on the last-resort log record: the innermost frames
+#: formatted, then the traceback text cut to its last characters.
+_LOG_FRAMES = 12
+_LOG_TRACEBACK_CHARS = 2_000
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -124,7 +129,6 @@ class ServiceConfig:
     fault_seed: Optional[int] = None
     fault_horizon: int = 2_000
     collect_events: bool = True
-    warm: bool = True
     cache_capacity: int = 256
     max_batch: int = 32
     telemetry: bool = True
@@ -212,18 +216,17 @@ class EvalService:
         self.retries_performed = 0
         self.batches_total = 0
         self.batch_programs_total = 0
-        # Warm path: one immutable prelude snapshot (shared process-
-        # wide per backend — it is read-only by construction) plus a
+        # One immutable prelude snapshot (shared process-wide per
+        # backend — it is read-only by construction) plus a
         # per-service content-addressed artifact cache.
-        self.snapshot: Optional[PreludeSnapshot] = None
-        self.cache: Optional[ProgramCache] = None
-        if self.config.warm:
-            self.snapshot = shared_snapshot(backend=self.config.backend)
-            self.cache = ProgramCache(
-                backend=self.config.backend,
-                strategy_key=self.snapshot.strategy_key(),
-                capacity=self.config.cache_capacity,
-            )
+        self.snapshot: PreludeSnapshot = shared_snapshot(
+            backend=self.config.backend
+        )
+        self.cache = ProgramCache(
+            backend=self.config.backend,
+            strategy_key=self.snapshot.strategy_key(),
+            capacity=self.config.cache_capacity,
+        )
         self._started_at = clock()
         # Telemetry: registry + trace recorder, both pay-as-you-go —
         # with telemetry off the registry is the null twin and the
@@ -280,11 +283,9 @@ class EvalService:
             "repro_breaker_state": lambda: _BREAKER_STATES.get(
                 self.breaker.as_dict()["state"], -1
             ),
-            "repro_cache_hits_total": lambda: (
-                self.cache.stats()["hits"] if self.cache else 0
-            ),
+            "repro_cache_hits_total": lambda: self.cache.stats()["hits"],
             "repro_cache_misses_total": lambda: (
-                self.cache.stats()["misses"] if self.cache else 0
+                self.cache.stats()["misses"]
             ),
             "repro_traces_total": lambda: (
                 self.tracer.recorded if self.tracer else 0
@@ -335,8 +336,8 @@ class EvalService:
 
     def _next_ids(self) -> Tuple[int, str]:
         """Mint ``(request_id, trace_id)``.  A plain monotonic
-        sequence — deterministic per service instance, so warm and
-        cold twins fed the same request sequence answer with
+        sequence — deterministic per service instance, so two
+        services fed the same request sequence answer with
         byte-identical bodies, ids included."""
         with self._lock:
             self._id_seq += 1
@@ -395,11 +396,11 @@ class EvalService:
         single admission ticket (items are source strings or
         ``{"expr": ..., "stdin": ..., "typecheck": ...}`` objects).
         """
-        if isinstance(payload, dict) and "programs" in payload:
-            return self._handle_batch(payload)
         ids = self._next_ids()
         builder = self._trace_builder(ids)
         try:
+            if isinstance(payload, dict) and "programs" in payload:
+                return self._handle_batch(payload, ids, builder)
             if not isinstance(payload, dict) or not isinstance(
                 payload.get("expr"), str
             ):
@@ -413,169 +414,177 @@ class EvalService:
             if identity_error is not None:
                 return self._bad_request(identity_error, ids, builder)
             request = self._normalize(payload)
-            tenant = request["tenant"]
-
-            with builder.span("admission"):
-                admitted, rejection = self._admit(ids, tenant)
-            if not admitted:
-                builder.annotate(rejected="queue-full")
-                return rejection
-            try:
-                granted, rejection = self._tenant_admit(tenant, ids)
-                if not granted:
-                    builder.annotate(rejected="tenant-quota")
-                    return rejection
-                try:
-                    with builder.span("breaker"):
-                        allowed, retry_after = self.breaker.allow()
-                    if not allowed:
-                        builder.annotate(rejected="circuit-open")
-                        body = {
-                            "status": "rejected",
-                            "reason": "circuit-open",
-                            "retry_after": round(retry_after, 3),
-                            "request_id": ids[0],
-                            "trace_id": ids[1],
-                        }
-                        self._count_status("rejected", tenant)
-                        return 503, body, retry_after
-                    return self._serve_program(request, ids, builder)
-                finally:
-                    self._tenant_release(tenant)
-            finally:
-                self._admission.release()
+            return self._gated(
+                request["tenant"],
+                ids,
+                builder,
+                lambda: self._serve_program(request, ids, builder),
+            )
         finally:
             self._finish_trace(builder)
 
     def _handle_batch(
-        self, payload: Dict[str, Any]
+        self, payload: Dict[str, Any], ids: Tuple[int, str], builder
     ) -> Tuple[int, Dict[str, Any], Optional[float]]:
         """N programs, one admission ticket: the queue slot, the
-        breaker consultation and (on the warm path) the snapshot/cache
-        lookups are paid once per batch, while every program keeps its
-        own machine, governor, fault plan and structured response."""
-        ids = self._next_ids()
-        builder = self._trace_builder(ids)
-        try:
-            programs = payload.get("programs")
-            if not isinstance(programs, list) or not programs:
+        tenant quota and the breaker consultation are paid once per
+        batch, while every program keeps its own cache lookup,
+        machine, governor, fault plan and structured response."""
+        programs = payload.get("programs")
+        if not isinstance(programs, list) or not programs:
+            return self._bad_request(
+                '"programs" must be a non-empty JSON array', ids, builder
+            )
+        if len(programs) > self.config.max_batch:
+            builder.annotate(error="batch-too-large")
+            return (
+                400,
+                {
+                    "status": "error",
+                    "reason": "batch-too-large",
+                    "message": f"batch of {len(programs)} exceeds "
+                    f"max_batch={self.config.max_batch}",
+                    "request_id": ids[0],
+                    "trace_id": ids[1],
+                },
+                None,
+            )
+        identity_error = self._identity_error(payload)
+        if identity_error is not None:
+            return self._bad_request(identity_error, ids, builder)
+        # The envelope's tenant/priority are the defaults every item
+        # inherits (items may override).
+        defaults = {
+            key: payload[key]
+            for key in ("tenant", "priority")
+            if key in payload
+        }
+        requests = []
+        for item in programs:
+            if isinstance(item, str):
+                item = {"expr": item}
+            if not isinstance(item, dict) or not isinstance(
+                item.get("expr"), str
+            ):
                 return self._bad_request(
-                    '"programs" must be a non-empty JSON array',
+                    "batch items must be source strings or "
+                    '{"expr": "<source>"} objects',
                     ids,
                     builder,
                 )
-            if len(programs) > self.config.max_batch:
-                builder.annotate(error="batch-too-large")
-                return (
-                    400,
-                    {
-                        "status": "error",
-                        "reason": "batch-too-large",
-                        "message": f"batch of {len(programs)} exceeds "
-                        f"max_batch={self.config.max_batch}",
-                        "request_id": ids[0],
-                        "trace_id": ids[1],
-                    },
-                    None,
-                )
-            identity_error = self._identity_error(payload)
+            item = {**defaults, **item}
+            identity_error = self._identity_error(item)
             if identity_error is not None:
                 return self._bad_request(identity_error, ids, builder)
-            # The envelope's tenant/priority are the defaults every
-            # item inherits (items may override).
-            defaults = {
-                key: payload[key]
-                for key in ("tenant", "priority")
-                if key in payload
-            }
-            requests = []
-            for item in programs:
-                if isinstance(item, str):
-                    item = {"expr": item}
-                if not isinstance(item, dict) or not isinstance(
-                    item.get("expr"), str
-                ):
-                    return self._bad_request(
-                        "batch items must be source strings or "
-                        '{"expr": "<source>"} objects',
-                        ids,
-                        builder,
-                    )
-                item = {**defaults, **item}
-                identity_error = self._identity_error(item)
-                if identity_error is not None:
-                    return self._bad_request(
-                        identity_error, ids, builder
-                    )
-                requests.append(self._normalize(item))
-            tenant = self._normalize(
-                {"expr": "", **defaults}
-            )["tenant"]
+            requests.append(self._normalize(item))
+        tenant = self._normalize({"expr": "", **defaults})["tenant"]
+        return self._gated(
+            tenant,
+            ids,
+            builder,
+            lambda: self._serve_batch(requests, ids, builder),
+        )
 
-            with builder.span("admission"):
-                admitted, rejection = self._admit(ids, tenant)
-            if not admitted:
-                builder.annotate(rejected="queue-full")
-                return rejection
+    def _serve_batch(
+        self,
+        requests: List[Dict[str, Any]],
+        ids: Tuple[int, str],
+        builder,
+    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
+        """Every program of an admitted batch on its own machine, in
+        request order, each with its own child trace."""
+        results = []
+        child_traces = []
+        for request in requests:
+            child_ids = self._next_ids()
+            child_builder = self._trace_builder(child_ids, parent=ids[1])
             try:
-                granted, rejection = self._tenant_admit(tenant, ids)
-                if not granted:
-                    builder.annotate(rejected="tenant-quota")
-                    return rejection
-                try:
-                    with builder.span("breaker"):
-                        allowed, retry_after = self.breaker.allow()
-                    if not allowed:
-                        builder.annotate(rejected="circuit-open")
-                        body = {
-                            "status": "rejected",
-                            "reason": "circuit-open",
-                            "retry_after": round(retry_after, 3),
-                            "request_id": ids[0],
-                            "trace_id": ids[1],
-                        }
-                        self._count_status("rejected", tenant)
-                        return 503, body, retry_after
-                    results = []
-                    child_traces = []
-                    for request in requests:
-                        child_ids = self._next_ids()
-                        child_builder = self._trace_builder(
-                            child_ids, parent=ids[1]
-                        )
-                        try:
-                            results.append(
-                                self._serve_program(
-                                    request, child_ids, child_builder
-                                )[1]
-                            )
-                        finally:
-                            self._finish_trace(child_builder)
-                        child_traces.append(child_ids[1])
-                    builder.annotate(
-                        programs=len(results), children=child_traces
-                    )
-                    with self._lock:
-                        self.batches_total += 1
-                        self.batch_programs_total += len(results)
-                    self._m["repro_batches_total"].inc()
-                    self._m["repro_batch_programs_total"].inc(
-                        len(results)
-                    )
-                    body = {
-                        "status": "batch",
-                        "count": len(results),
-                        "results": results,
-                        "request_id": ids[0],
-                        "trace_id": ids[1],
-                    }
-                    return 200, body, None
-                finally:
-                    self._tenant_release(tenant)
+                results.append(
+                    self._serve_program(request, child_ids, child_builder)[1]
+                )
             finally:
-                self._admission.release()
+                self._finish_trace(child_builder)
+            child_traces.append(child_ids[1])
+        builder.annotate(programs=len(results), children=child_traces)
+        with self._lock:
+            self.batches_total += 1
+            self.batch_programs_total += len(results)
+        self._m["repro_batches_total"].inc()
+        self._m["repro_batch_programs_total"].inc(len(results))
+        body = {
+            "status": "batch",
+            "count": len(results),
+            "results": results,
+            "request_id": ids[0],
+            "trace_id": ids[1],
+        }
+        return 200, body, None
+
+    def _gated(
+        self,
+        tenant: str,
+        ids: Tuple[int, str],
+        builder,
+        serve: Callable[[], Tuple[int, Dict[str, Any], Optional[float]]],
+    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
+        """Admission, then the tenant quota, then the breaker — the
+        gates every request passes once, a batch as a whole — and
+        ``serve()`` behind them."""
+        with builder.span("admission"):
+            admitted = self._admission.acquire(blocking=False)
+        if not admitted:
+            return self._rejected(
+                "queue-full", self._queue_retry_after(), tenant, ids, builder
+            )
+        try:
+            if not self._tenant_acquire(tenant):
+                return self._rejected(
+                    "tenant-quota",
+                    self._queue_retry_after(),
+                    tenant,
+                    ids,
+                    builder,
+                )
+            try:
+                with builder.span("breaker"):
+                    allowed, retry_after = self.breaker.allow()
+                if not allowed:
+                    return self._rejected(
+                        "circuit-open", retry_after, tenant, ids, builder
+                    )
+                return serve()
+            finally:
+                self._tenant_release(tenant)
         finally:
-            self._finish_trace(builder)
+            self._admission.release()
+
+    def _rejected(
+        self,
+        reason: str,
+        retry_after: float,
+        tenant: str,
+        ids: Tuple[int, str],
+        builder,
+    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
+        """The ``rejected`` response: the request never reached a
+        machine.  HTTP 503 for an open breaker, 429 otherwise."""
+        builder.annotate(rejected=reason)
+        self._count_status("rejected", tenant)
+        body = {
+            "status": "rejected",
+            "reason": reason,
+            "retry_after": round(retry_after, 3),
+            "request_id": ids[0],
+            "trace_id": ids[1],
+        }
+        return (
+            503 if reason == "circuit-open" else 429,
+            body,
+            retry_after,
+        )
+
+    def _queue_retry_after(self) -> float:
+        return max((self.config.deadline_seconds or 1.0) / 2, 0.05)
 
     @staticmethod
     def _identity_error(payload: Dict[str, Any]) -> Optional[str]:
@@ -604,47 +613,19 @@ class EvalService:
             "priority": payload.get("priority", "normal"),
         }
 
-    def _admit(self, ids: Tuple[int, str], tenant: str = "anonymous"):
-        if self._admission.acquire(blocking=False):
-            return True, None
-        retry_after = max(
-            (self.config.deadline_seconds or 1.0) / 2, 0.05
-        )
-        body = {
-            "status": "rejected",
-            "reason": "queue-full",
-            "retry_after": round(retry_after, 3),
-            "request_id": ids[0],
-            "trace_id": ids[1],
-        }
-        self._count_status("rejected", tenant)
-        return False, (429, body, retry_after)
-
-    def _tenant_admit(self, tenant: str, ids: Tuple[int, str]):
+    def _tenant_acquire(self, tenant: str) -> bool:
         """Per-tenant in-flight quota — the 429 a single flooding
-        tenant gets while everyone else keeps being admitted.  A
-        no-op (always granted) when ``tenant_max_in_flight`` is
-        unset."""
+        tenant gets while everyone else keeps being admitted.  Always
+        granted when ``tenant_max_in_flight`` is unset."""
         limit = self.config.tenant_max_in_flight
         if limit is None:
-            return True, None
+            return True
         with self._lock:
             current = self._tenant_in_flight.get(tenant, 0)
             if current < limit:
                 self._tenant_in_flight[tenant] = current + 1
-                return True, None
-        retry_after = max(
-            (self.config.deadline_seconds or 1.0) / 2, 0.05
-        )
-        body = {
-            "status": "rejected",
-            "reason": "tenant-quota",
-            "retry_after": round(retry_after, 3),
-            "request_id": ids[0],
-            "trace_id": ids[1],
-        }
-        self._count_status("rejected", tenant)
-        return False, (429, body, retry_after)
+                return True
+        return False
 
     def _tenant_release(self, tenant: str) -> None:
         if self.config.tenant_max_in_flight is None:
@@ -721,12 +702,27 @@ class EvalService:
     ) -> Tuple[int, Dict[str, Any], Optional[float]]:
         # Imported here, on the rare path, so serving loads nothing
         # more than it did before the handler existed.
+        import hashlib
         import logging
+        import traceback
 
+        # One bounded record: a RecursionError from a deep program
+        # carries thousands of frames (megabytes of text), so only the
+        # innermost frames are formatted and the text is cut.
+        digest = hashlib.sha256(
+            request.get("expr", "").encode("utf-8", "surrogatepass")
+        ).hexdigest()[:12]
+        tail = "".join(
+            traceback.format_exception(
+                type(err), err, err.__traceback__, limit=-_LOG_FRAMES
+            )
+        )[-_LOG_TRACEBACK_CHARS:]
         logging.getLogger(__name__).error(
-            "internal error serving trace %s",
+            "internal error serving trace %s: %s (source sha256 %s)\n%s",
             builder.trace_id or "-",
-            exc_info=err,
+            type(err).__name__,
+            digest,
+            tail,
         )
         self.breaker.record_failure()
         self._count_status("error", request.get("tenant", "anonymous"))
@@ -752,8 +748,8 @@ class EvalService:
             self._request_counter += 1
             seed_id = self._request_counter
 
-        with builder.span("cache-lookup", warm=self.cache is not None):
-            entry = self._front_end(request["expr"])
+        with builder.span("cache-lookup"):
+            entry = self.cache.lookup(request["expr"])
         if entry.error is not None:
             # A parse/flatten error is the *client's* failure, not the
             # pool's — it must not open the breaker.
@@ -808,15 +804,6 @@ class EvalService:
         return 200, body, body.get("retry_after")
 
     # -- evaluation -----------------------------------------------------
-
-    def _front_end(self, source: str) -> CachedProgram:
-        """Parse/flatten ``source`` into a :class:`CachedProgram` —
-        through the content-addressed cache on the warm path, as a
-        transient throwaway on the cold one (so both paths speak the
-        same artifact language, but only warm skips repeat work)."""
-        if self.cache is not None:
-            return self.cache.lookup(source)
-        return ProgramCache._build(("transient",), source)
 
     def _with_retries(
         self,
@@ -917,27 +904,7 @@ class EvalService:
         config = self.config
         stdin = request.get("stdin", "")
         with builder.span("attempt", number=attempt_number):
-            if self.snapshot is not None:
-                # Warm: an O(1) fork sharing the frozen prelude heap.
-                # The fork carries no instrumentation; governor/fault
-                # are attached below, exactly as on the cold path, so
-                # both paths instrument the same evaluation window.
-                with builder.span("fork"):
-                    machine, env = self.snapshot.fork(
-                        fuel=config.backstop_fuel()
-                    )
-            else:
-                # Cold: rebuild the entire prelude heap and drive it
-                # to the same fully-memoised state a fork starts from
-                # (snapshot.warm_machine), so warm and cold responses
-                # are byte-identical — same outcome, same counters,
-                # same event totals — and only latency distinguishes
-                # the paths.
-                with builder.span("cold-build"):
-                    machine, env = warm_machine(
-                        backend=config.backend,
-                        fuel=config.backstop_fuel(),
-                    )
+            machine, program, env = self._machine(entry, builder)
             if gate is not None:
                 # Sliced mode: the machine parks at slice boundaries,
                 # and the governor's deadline is measured against the
@@ -973,19 +940,6 @@ class EvalService:
                 )
                 machine.attach_fault_plan(fault)
             machine.attach_governor(governor)
-
-            program: Any = entry.expr
-            if self.snapshot is not None and config.backend == "super":
-                # The cached lowered program bakes the snapshot's
-                # (immutable) cells in and takes the running machine
-                # as an argument, so one compilation serves every
-                # fork.  Its tier (closure on first use, fused once
-                # the entry is hot) goes on the attempt span.
-                program, lowering, built = entry.lower(
-                    self.snapshot.env, machine.strategy
-                )
-                env = ()
-                builder.annotate(lowering=lowering, codegen=built)
             with builder.span("machine-run"):
                 # The governor's deadline base is its own clock read,
                 # taken *inside* the span, so span bookkeeping can
@@ -1008,6 +962,31 @@ class EvalService:
             if result.reason is not None:
                 builder.annotate(reason=result.reason)
             return result
+
+    def _machine(
+        self, entry: CachedProgram, builder
+    ) -> Tuple[Any, Any, Any]:
+        """``(machine, program, env)`` for one attempt: an O(1) fork
+        sharing the frozen prelude heap.  The fork carries no
+        instrumentation (the caller attaches governor and fault plan),
+        so it counts exactly what a machine rebuilt from scratch by
+        :func:`~repro.machine.snapshot.warm_machine` would."""
+        with builder.span("fork"):
+            machine, env = self.snapshot.fork(
+                fuel=self.config.backstop_fuel()
+            )
+        if self.config.backend != "super":
+            return machine, entry.expr, env
+        # The cached lowered program bakes the snapshot's (immutable)
+        # cells in and takes the running machine as an argument, so
+        # one compilation serves every fork.  Its tier (closure on
+        # first use, fused once the entry is hot) goes on the attempt
+        # span.
+        program, lowering, built = entry.lower(
+            self.snapshot.env, machine.strategy
+        )
+        builder.annotate(lowering=lowering, codegen=built)
+        return machine, program, ()
 
     def _observe(self, expr, env, machine, stdin: str):
         """Evaluate; perform ``IO`` values through the executor (so
@@ -1212,9 +1191,8 @@ class EvalService:
         return {
             "status": "ok",
             "backend": self.config.backend,
-            "warm": self.config.warm,
             "scheduler": scheduler_block,
-            "cache": self.cache.stats() if self.cache else None,
+            "cache": self.cache.stats(),
             "batches": batches,
             "uptime_seconds": round(self._clock() - self._started_at, 3),
             "requests_total": total,

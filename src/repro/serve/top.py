@@ -107,13 +107,12 @@ def render_dashboard(
             rate = f" ({delta / elapsed:+.1f}/s)"
 
     breaker = health.get("breaker") or {}
-    cache = health.get("cache")
+    cache = health.get("cache") or {}
     batches = health.get("batches") or {}
     telemetry = health.get("telemetry") or {}
     lines = [
         f"repro top — {url or 'service'}"
         f" · backend={health.get('backend', '?')}"
-        f" · {'warm' if health.get('warm') else 'cold'}"
         f" · up {health.get('uptime_seconds', 0):.1f}s",
         f"requests   total {total}{rate}"
         f"   in-flight {health.get('in_flight', 0)}",
@@ -143,16 +142,12 @@ def render_dashboard(
         f"   retries {health.get('retries_performed', 0)}"
         f"   faults {health.get('faults_injected', 0)}"
     )
-    if cache is not None:
-        hits = cache.get("hits", 0)
-        misses = cache.get("misses", 0)
-        looked = hits + misses
-        ratio = f" ({hits / looked:.1%} hit)" if looked else ""
-        cache_text = f"hits {hits} / misses {misses}{ratio}"
-    else:
-        cache_text = "off (cold path)"
+    hits = cache.get("hits", 0)
+    misses = cache.get("misses", 0)
+    looked = hits + misses
+    ratio = f" ({hits / looked:.1%} hit)" if looked else ""
     lines.append(
-        f"cache      {cache_text}"
+        f"cache      hits {hits} / misses {misses}{ratio}"
         f"   batches {batches.get('total', 0)}"
         f" (programs {batches.get('programs', 0)})"
     )

@@ -70,10 +70,6 @@ UNIT = TCon("Unit")
 EXCEPTION = TCon("Exception")
 
 
-def list_of(t: Type) -> TCon:
-    return TCon("List", (t,))
-
-
 def io_of(t: Type) -> TCon:
     return TCon("IO", (t,))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.types.types import Scheme, TCon, TFun, TVar, Type
+from repro.types.types import TCon, TFun, TVar, Type
 
 Subst = Dict[str, Type]
 
@@ -38,13 +38,6 @@ def apply_subst(subst: Subst, t: Type) -> Type:
             apply_subst(subst, t.arg), apply_subst(subst, t.result)
         )
     raise TypeError(f"apply_subst: {t!r}")
-
-
-def apply_subst_scheme(subst: Subst, scheme: Scheme) -> Scheme:
-    trimmed = {
-        name: t for name, t in subst.items() if name not in scheme.vars
-    }
-    return Scheme(scheme.vars, apply_subst(trimmed, scheme.type))
 
 
 def _occurs(name: str, t: Type, subst: Subst) -> bool:

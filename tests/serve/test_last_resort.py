@@ -2,10 +2,12 @@
 ``RecursionError`` from a very deep fold, and a ``MachineError`` from
 an unbound variable) becomes a counted, traced ``500 internal-error``
 body — in process and over HTTP, where the connection must survive —
-and the latency histogram still counts every request."""
+and the latency histogram still counts every request.  Its log record
+is one bounded line plus a cut traceback."""
 
 import http.client
 import json
+import logging
 import sys
 import threading
 
@@ -19,6 +21,8 @@ from repro.serve.schema import schema_sets
 DEEP_FOLD = "foldr (\\x acc -> x + acc) 0 (enumFromTo 1 20000)"
 UNBOUND = "undefinedName + 1"
 CRASHING = [DEEP_FOLD, UNBOUND]
+#: Largest last-resort log record accepted, in characters.
+LOG_BOUND = 4_096
 
 
 def _assert_internal_error(status, body):
@@ -50,12 +54,24 @@ def service():
 
 
 @pytest.mark.parametrize("source", CRASHING, ids=["deep-fold", "unbound"])
-def test_in_process_internal_error_is_counted_and_traced(service, source):
-    status, body, retry_after = service.handle({"expr": source})
+def test_in_process_internal_error_is_counted_and_traced(
+    service, source, caplog
+):
+    with caplog.at_level(logging.ERROR, logger="repro.serve.service"):
+        status, body, retry_after = service.handle({"expr": source})
     _assert_internal_error(status, body)
     assert retry_after is None
     trace = service.get_trace(body["trace_id"])
     assert trace.root.attrs["error"] == "internal-error"
+    # One bounded log record naming the trace and the exception type
+    # (a deep fold's full traceback runs to megabytes).
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert len(message) < LOG_BOUND
+    assert record.exc_info is None
+    exc_type = body["message"].rsplit(" ", 1)[-1]
+    assert body["trace_id"] in message.splitlines()[0]
+    assert exc_type in message.splitlines()[0]
     health = service.health()
     assert health["requests"] == {"error": 1}
     assert _histogram_count(service) == health["requests_total"] == 1

@@ -299,21 +299,18 @@ class TestCooperativeService:
     def test_tenant_in_flight_quota(self):
         service = EvalService(coop_config(tenant_max_in_flight=1))
         try:
-            ids = (1, "t-1")
-            granted, rejection = service._tenant_admit("alice", ids)
-            assert granted and rejection is None
-            granted, rejection = service._tenant_admit("alice", ids)
-            assert not granted
-            status, body, retry_after = rejection
+            assert service._tenant_acquire("alice")
+            assert not service._tenant_acquire("alice")
+            status, body, retry_after = service.handle(
+                {"expr": "1 + 1", "tenant": "alice"}
+            )
             assert status == 429
             assert body["reason"] == "tenant-quota"
             assert retry_after > 0
             # Other tenants are unaffected.
-            granted, _ = service._tenant_admit("bob", ids)
-            assert granted
+            assert service._tenant_acquire("bob")
             service._tenant_release("alice")
-            granted, _ = service._tenant_admit("alice", ids)
-            assert granted
+            assert service._tenant_acquire("alice")
         finally:
             service.close()
 

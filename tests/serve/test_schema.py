@@ -3,6 +3,7 @@ that every projection of it stays in sync: the generated block in
 docs/ROBUSTNESS.md, the ``repro serve --help`` text, and the schema's
 own internal consistency."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,21 @@ class TestSchemaShape:
     def test_flags_are_unique(self):
         flags = [spec.flag for spec in SERVE_FLAGS]
         assert len(flags) == len(set(flags))
+
+    def test_every_service_flag_names_a_config_field(self):
+        """Each flag but the socket's own sets one ServiceConfig field
+        and takes its default from it."""
+        from repro.serve import ServiceConfig
+
+        names = {f.name for f in dataclasses.fields(ServiceConfig)}
+        for spec in SERVE_FLAGS:
+            if spec.flag in ("--host", "--port"):
+                assert spec.dest is None, spec.flag
+            else:
+                assert spec.dest in names, spec.flag
+                assert spec.resolved_default() == getattr(
+                    ServiceConfig(), spec.dest
+                )
 
     def test_health_schema_matches_live_health_payload(self):
         """``GET /healthz`` and ``HEALTH_SCHEMA`` are the same set of

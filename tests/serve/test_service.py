@@ -5,6 +5,7 @@ all deterministic (injected clocks, no real sleeping)."""
 import pytest
 
 from repro.machine import BACKENDS
+from repro.machine.snapshot import warm_machine
 from repro.serve import EvalService, ServiceConfig
 from repro.serve.schema import RESPONSE_SCHEMAS, schema_sets
 
@@ -379,23 +380,43 @@ class TestBatch:
         assert body["reason"] == "circuit-open"
 
 
+class _RebuildingService(EvalService):
+    """The served path with one change: every attempt's machine is
+    rebuilt from scratch by ``warm_machine`` instead of forked from
+    the snapshot, and runs the parsed program in its own prelude."""
+
+    def _machine(self, entry, builder):
+        machine, env = warm_machine(
+            backend=self.config.backend, fuel=self.config.backstop_fuel()
+        )
+        return machine, entry.expr, env
+
+
 class TestWarmPath:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_warm_and_cold_responses_are_byte_identical(self, backend):
-        """The parity contract at the service level: only latency may
-        distinguish the paths (docs/SERVING.md's soundness argument)."""
-        warm = _service(backend=backend, warm=True)
-        cold = _service(backend=backend, warm=False)
+        """The parity contract at the service level: a forked machine
+        answers exactly as a rebuilt one (docs/SERVING.md's soundness
+        argument), bodies and ids included."""
+        served = _service(backend=backend)
+        reference = _RebuildingService(
+            ServiceConfig(backend=backend),
+            clock=FakeClock(),
+            sleep=lambda s: None,
+        )
         for expr in (
             "sum (map (\\x -> x * x) (enumFromTo 1 10))",
             "1 `div` 0",
             "(1 `div` 0) + head Nil",
             'putStr "hello"',
         ):
-            warm_status, warm_body, _ = warm.handle({"expr": expr})
-            cold_status, cold_body, _ = cold.handle({"expr": expr})
-            assert warm_status == cold_status
-            assert warm_body == cold_body, expr
+            status, body, _ = served.handle({"expr": expr})
+            ref_status, ref_body, _ = reference.handle({"expr": expr})
+            assert status == ref_status
+            assert body == ref_body, expr
+            trace_id = body["trace_id"]
+            assert served.get_trace(trace_id).find("fork") is not None
+            assert reference.get_trace(trace_id).find("fork") is None
 
     def test_repeat_programs_hit_the_cache(self):
         service = _service()
@@ -405,13 +426,6 @@ class TestWarmPath:
         assert cache["misses"] == 1
         assert cache["hits"] == 4
         assert cache["entries"] == 1
-
-    def test_cold_service_has_no_cache(self):
-        service = _service(warm=False)
-        service.handle({"expr": "1 + 1"})
-        health = service.health()
-        assert health["warm"] is False
-        assert health["cache"] is None
 
     def test_typecheck_gate_accepts_well_typed_programs(self):
         service = _service()

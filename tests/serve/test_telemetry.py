@@ -77,7 +77,7 @@ class TestTraceIds:
             assert body_a["request_id"] == body_b["request_id"]
 
     def test_single_request_span_taxonomy(self):
-        service = _service(warm=True)
+        service = _service()
         _, body, _ = service.handle({"expr": "1 + 2"})
         trace = service.get_trace(body["trace_id"])
         names = trace.span_names()
@@ -87,24 +87,17 @@ class TestTraceIds:
             "breaker",
             "cache-lookup",
             "attempt",
+            "fork",
             "machine-run",
             "render",
         ):
             assert stage in names, names
-        assert "fork" in names or "cold-build" in names
         run = trace.find("machine-run")
         attempt = trace.find("attempt")
         assert run in attempt.children
         assert attempt.attrs["number"] == 1
         assert attempt.attrs["kind"] == "value"
         assert attempt.attrs["steps"] == body["stats"]["steps"]
-
-    def test_cold_service_traces_cold_build(self):
-        service = _service(warm=False)
-        _, body, _ = service.handle({"expr": "1 + 2"})
-        trace = service.get_trace(body["trace_id"])
-        assert "cold-build" in trace.span_names()
-        assert "fork" not in trace.span_names()
 
     def test_exceptional_attempt_annotates_exc(self):
         service = _service()

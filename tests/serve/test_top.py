@@ -52,12 +52,6 @@ class TestRenderDashboard:
         # no exposition -> no latency/stage lines, but no crash either
         assert "latency" not in frame
 
-    def test_cold_service_reports_cache_off(self):
-        service = EvalService(ServiceConfig(warm=False))
-        service.handle({"expr": "1"})
-        frame = render_dashboard(*_payloads(service))
-        assert "cache      off (cold path)" in frame
-
 
 class TestRunTop:
     def test_bounded_iterations_and_clear(self):

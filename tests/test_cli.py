@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.serve.service import ServiceConfig
 
 
 def run_cli(capsys, *argv):
@@ -70,8 +71,8 @@ class TestEval:
 
 
 class TestRetiredOptions:
-    """``compiled`` is no backend and ``--profile-in`` no option: each
-    is a usage error (exit 2) naming what is left."""
+    """``compiled`` is no backend and ``--profile-in`` and
+    ``--no-warm`` are no options: each is a usage error (exit 2)."""
 
     @pytest.mark.parametrize("command", [["eval", "1"], ["serve"]])
     def test_compiled_backend_is_a_usage_error(self, capsys, command):
@@ -82,6 +83,12 @@ class TestRetiredOptions:
         assert "invalid choice: 'compiled'" in err
         assert "'ast', 'super'" in err
 
+    def test_no_warm_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--no-warm"])
+        assert exit_info.value.code == 2
+        assert "--no-warm" in capsys.readouterr().err
+
     def test_profile_in_is_a_usage_error(self, capsys, tmp_path):
         script = tmp_path / "hi.hs"
         script.write_text('main = putStr "hi"\n')
@@ -89,6 +96,43 @@ class TestRetiredOptions:
             main(["run", str(script), "--profile-in", "x"])
         assert exit_info.value.code == 2
         assert "--profile-in" in capsys.readouterr().err
+
+
+class TestServeConfig:
+    """``repro serve`` builds one ServiceConfig from its flags; every
+    default is the dataclass's own."""
+
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "repro.serve.http.serve_forever",
+            lambda host, port, config: calls.append((host, port, config))
+            or 0,
+        )
+        return calls
+
+    def test_no_flags_is_the_default_config(self, served):
+        assert main(["serve"]) == 0
+        assert served == [("127.0.0.1", 8080, ServiceConfig())]
+
+    def test_flags_set_their_fields(self, served):
+        main(
+            "serve --port 0 --deadline 2.5 --breaker-reset 3 "
+            "--tenant-max-in-flight 2 --no-telemetry".split()
+        )
+        (_host, port, config), = served
+        assert port == 0
+        assert config == ServiceConfig(
+            deadline_seconds=2.5,
+            breaker_reset_seconds=3.0,
+            tenant_max_in_flight=2,
+            telemetry=False,
+        )
+
+    def test_warm_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(warm=True)
 
 
 class TestLaw:
