@@ -89,14 +89,24 @@ def _service(backend: str, cls=EvalService) -> EvalService:
     return cls(ServiceConfig(backend=backend, retries=0))
 
 
-def _p50(service: EvalService, source: str, requests: int) -> float:
-    times = []
-    for _ in range(requests):
-        start = time.perf_counter()
-        status, body, _retry = service.handle({"expr": source})
-        times.append(time.perf_counter() - start)
-        assert status == 200, body
-    return statistics.median(times)
+def _timed(service: EvalService, source: str) -> float:
+    start = time.perf_counter()
+    status, body, _retry = service.handle({"expr": source})
+    elapsed = time.perf_counter() - start
+    assert status == 200, body
+    return elapsed
+
+
+def _interleaved_p50s(warm: EvalService, cold: EvalService, source: str):
+    """``(warm p50, cold p50)`` over ``_WARM_REQUESTS`` warm and
+    ``_COLD_REQUESTS`` cold requests, the cold ones spread evenly
+    between the warm ones so both sides see the same host noise."""
+    warm_times, cold_times = [], []
+    for i in range(_WARM_REQUESTS):
+        warm_times.append(_timed(warm, source))
+        if (i + 1) * _COLD_REQUESTS // _WARM_REQUESTS > len(cold_times):
+            cold_times.append(_timed(cold, source))
+    return statistics.median(warm_times), statistics.median(cold_times)
 
 
 class TestWarmServeSpeedup:
@@ -116,8 +126,7 @@ class TestWarmServeSpeedup:
         divergences = 0 if warm_body == cold_body else 1
         assert divergences == 0, (warm_body, cold_body)
 
-        warm_p50 = _p50(warm, source, _WARM_REQUESTS)
-        cold_p50 = _p50(cold, source, _COLD_REQUESTS)
+        warm_p50, cold_p50 = _interleaved_p50s(warm, cold, source)
         speedup = (
             cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
         )

@@ -172,16 +172,18 @@ def serve_forever(host: str, port: int, config: ServiceConfig) -> int:
     service = EvalService(config)
     server = make_server(host, port, service)
     bound_host, bound_port = server.server_address[:2]
-    sched_note = (
-        f"cooperative scheduler: {config.workers} workers × "
-        f"{config.slice_steps}-step slices"
-        if config.scheduler == "cooperative"
-        else f"concurrency={config.max_concurrency}, "
-        f"queue={config.queue_depth}"
+    sched = service.scheduler
+    slices = (
+        "unbounded"
+        if sched.slice_steps is None
+        else f"{sched.slice_steps}-step"
     )
     print(
         f"repro serve: listening on http://{bound_host}:{bound_port} "
-        f"(backend={config.backend}, {sched_note})",
+        f"(backend={config.backend}, scheduler={config.scheduler}: "
+        f"{sched.workers} run slots × {slices} slices, "
+        f"concurrency={config.max_concurrency}, "
+        f"queue={config.queue_depth})",
         file=sys.stderr,
         flush=True,
     )

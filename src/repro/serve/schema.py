@@ -171,9 +171,9 @@ HEALTH_SCHEMA: Dict[str, Tuple[str, str]] = {
     ),
     "scheduler": (
         "object",
-        "mode (`threads`/`cooperative`) plus, in cooperative mode, "
-        "workers, run-queue depth, active tenants, slices, "
-        "preemptions and the starvation watermark "
+        "preset (`threads`/`cooperative`), run slots, slice size "
+        "(null: unbounded), run-queue depth, active tenants, slices "
+        "granted, preemptions and the starvation watermark "
         "(docs/SERVING.md)",
     ),
     "limits": ("object", "configured per-request and admission limits"),
@@ -276,18 +276,18 @@ METRIC_FAMILIES: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "repro_run_queue_depth",
         "gauge",
-        "evaluations parked in the cooperative run queue "
-        "(0 in threads mode)",
+        "evaluations waiting in the scheduler's run queue",
     ),
     MetricSpec(
         "repro_active_tenants",
         "gauge",
-        "tenants with queued or running work (0 in threads mode)",
+        "tenants with queued or running work",
     ),
     MetricSpec(
         "repro_sched_slices_total",
         "counter",
-        "fuel slices executed by the cooperative scheduler",
+        "fuel slices granted by the scheduler (one per attempt under "
+        "the threads preset)",
     ),
     MetricSpec(
         "repro_sched_preemptions_total",
@@ -308,7 +308,7 @@ METRIC_FAMILIES: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "repro_first_slice_seconds",
         "histogram",
-        "submit-to-first-slice latency in the cooperative scheduler",
+        "submit-to-first-slice latency of scheduled attempts",
     ),
     MetricSpec(
         "repro_tenant_steps_total",
@@ -405,28 +405,30 @@ SERVE_FLAGS: Tuple[FlagSpec, ...] = (
     ),
     FlagSpec(
         "--max-concurrency",
-        "requests evaluated concurrently (threads mode) or admitted "
-        "in-flight (cooperative mode)",
+        "requests admitted in flight (under --scheduler threads, each "
+        "holds a run slot)",
         int,
         "max_concurrency",
     ),
     FlagSpec(
         "--scheduler",
-        "execution model: one thread per request, or the fuel-sliced "
-        "cooperative multi-tenant scheduler (docs/SERVING.md)",
+        "scheduler preset: every admitted request runs unsliced, or "
+        "--workers at once in fuel slices under per-tenant deficit "
+        "round-robin (docs/SERVING.md)",
         str,
         "scheduler",
         choices=("threads", "cooperative"),
     ),
     FlagSpec(
         "--workers",
-        "cooperative scheduler worker threads",
+        "run slots: evaluations executing at once under "
+        "--scheduler cooperative",
         int,
         "workers",
     ),
     FlagSpec(
         "--slice-steps",
-        "machine steps granted per cooperative scheduler slice",
+        "machine steps granted per slice under --scheduler cooperative",
         int,
         "slice_steps",
     ),

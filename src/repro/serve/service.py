@@ -43,10 +43,14 @@ fields):
     (``tenant-quota``), or the circuit breaker open (``circuit-open``)
     — fast rejection with Retry-After.
 
-Concurrency is bounded twice: ``max_concurrency`` machines evaluate at
-once, and at most ``queue_depth`` further requests wait; beyond that,
-admission fails instantly — a service that queues unboundedly is a
-service that falls over late instead of degrading early.
+Concurrency is bounded twice: ``max_concurrency`` attempts are in
+flight at once, and at most ``queue_depth`` further requests wait;
+beyond that, admission fails instantly — a service that queues
+unboundedly is a service that falls over late instead of degrading
+early.  Each attempt runs on its request's own thread under the
+:class:`~repro.serve.scheduler.CooperativeScheduler`, which decides
+how many of them evaluate at any moment: all of them under the
+``threads`` preset, ``workers`` under ``cooperative``.
 
 Metrics reuse the PR-1 observability layer's event names: each
 request's event totals are read off its machine's counters
@@ -77,7 +81,6 @@ from repro.machine.observe import (
     show_value,
 )
 from repro.machine.snapshot import PreludeSnapshot, shared_snapshot
-from repro.machine.slices import SliceRunner
 from repro.machine.values import VIO
 from repro.obs.sinks import JsonlSink
 from repro.obs.telemetry import (
@@ -99,6 +102,7 @@ from repro.serve.scheduler import (
     PRIORITIES,
     CooperativeScheduler,
     SchedulerHooks,
+    Task,
 )
 from repro.serve.schema import METRIC_FAMILIES
 
@@ -134,12 +138,12 @@ class ServiceConfig:
     telemetry: bool = True
     trace_ring: int = 256
     trace_log: Optional[str] = None
-    # Cooperative multi-tenant scheduling (docs/SERVING.md).  In
-    # "threads" mode every admitted request evaluates on its own
-    # thread (the PR-5 model); "cooperative" runs them all on
-    # ``workers`` threads in ``slice_steps``-sized fuel slices under
-    # per-tenant deficit round-robin, so ``max_concurrency`` becomes
-    # the *admitted in-flight* bound rather than a thread count.
+    # Multi-tenant scheduling (docs/SERVING.md): every attempt runs on
+    # its request's thread under the scheduler.  The "threads" preset
+    # gives every admitted request a run slot and unbounded slices;
+    # "cooperative" runs at most ``workers`` of them at once, in
+    # ``slice_steps``-sized fuel slices under per-tenant deficit
+    # round-robin.
     scheduler: str = "threads"
     workers: int = 2
     slice_steps: int = 25_000
@@ -252,20 +256,21 @@ class EvalService:
             )
         else:
             self.registry = NullRegistry()
-        self.scheduler: Optional[CooperativeScheduler] = None
         self._build_metrics()
-        if self.config.scheduler == "cooperative":
-            self.scheduler = CooperativeScheduler(
-                workers=self.config.workers,
-                slice_steps=self.config.slice_steps,
-                tenant_step_quota=self.config.tenant_step_quota,
-                schedule_seed=self.config.schedule_seed,
-                clock=clock,
-                hooks=SchedulerHooks(
-                    slice_steps=self._m["repro_slice_steps"],
-                    first_slice=self._m["repro_first_slice_seconds"],
-                ),
-            )
+        threads = self.config.scheduler == "threads"
+        self.scheduler = CooperativeScheduler(
+            workers=(
+                self.config.max_concurrency if threads else self.config.workers
+            ),
+            slice_steps=None if threads else self.config.slice_steps,
+            tenant_step_quota=self.config.tenant_step_quota,
+            schedule_seed=self.config.schedule_seed,
+            clock=clock,
+            hooks=SchedulerHooks(
+                slice_steps=self._m["repro_slice_steps"],
+                first_slice=self._m["repro_first_slice_seconds"],
+            ),
+        )
 
     # -- telemetry ------------------------------------------------------
 
@@ -290,23 +295,11 @@ class EvalService:
             "repro_traces_total": lambda: (
                 self.tracer.recorded if self.tracer else 0
             ),
-            "repro_run_queue_depth": lambda: (
-                self.scheduler.run_queue_depth() if self.scheduler else 0
-            ),
-            "repro_active_tenants": lambda: (
-                self.scheduler.active_tenants() if self.scheduler else 0
-            ),
-            "repro_sched_slices_total": lambda: (
-                self.scheduler.slices_total if self.scheduler else 0
-            ),
-            "repro_sched_preemptions_total": lambda: (
-                self.scheduler.preemptions_total if self.scheduler else 0
-            ),
-            "repro_starvation_seconds": lambda: (
-                self.scheduler.starvation_seconds
-                if self.scheduler
-                else 0.0
-            ),
+            "repro_run_queue_depth": lambda: self.scheduler.run_queue_depth(),
+            "repro_active_tenants": lambda: self.scheduler.active_tenants(),
+            "repro_sched_slices_total": lambda: self.scheduler.slices_total,
+            "repro_sched_preemptions_total": lambda: self.scheduler.preemptions_total,
+            "repro_starvation_seconds": lambda: self.scheduler.starvation_seconds,
         }
         buckets = {"latency": LATENCY_BUCKETS, "steps": STEP_BUCKETS}
         instruments = {}
@@ -375,10 +368,9 @@ class EvalService:
         return self.registry.render()
 
     def close(self) -> None:
-        """Stop the scheduler (cooperative mode) and flush the opt-in
-        trace log (idempotent)."""
-        if self.scheduler is not None:
-            self.scheduler.close()
+        """Close the scheduler (cancelling unfinished attempts) and
+        flush the opt-in trace log (idempotent)."""
+        self.scheduler.close()
         if self.tracer is not None:
             self.tracer.close()
 
@@ -651,21 +643,16 @@ class EvalService:
         return "other"
 
     def _bad_request(
-        self,
-        message: str,
-        ids: Optional[Tuple[int, str]] = None,
-        builder=None,
+        self, message: str, ids: Tuple[int, str], builder
     ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        body: Dict[str, Any] = {
+        builder.annotate(error="bad-request")
+        body = {
             "status": "error",
             "reason": "bad-request",
             "message": message,
+            "request_id": ids[0],
+            "trace_id": ids[1],
         }
-        if ids is not None:
-            body["request_id"] = ids[0]
-            body["trace_id"] = ids[1]
-        if builder is not None:
-            builder.annotate(error="bad-request")
         return 400, body, None
 
     def _serve_program(
@@ -797,7 +784,10 @@ class EvalService:
         with builder.span("render", status=attempt_result.kind):
             body = self._shape(attempt_result, attempts)
             self._absorb(attempt_result, attempts, tenant)
-        if attempt_result.kind == "resource-exhausted":
+        # Only a transient failure (a deadline trip, an injected
+        # asynchronous exception) counts against the breaker: a step or
+        # allocation trip recurs identically on a healthy service.
+        if self._retryable(attempt_result):
             self.breaker.record_failure()
         else:
             self.breaker.record_success()
@@ -845,123 +835,73 @@ class EvalService:
         attempt_number: int,
         builder=NULL_TRACE_BUILDER,
     ) -> _Attempt:
-        if self.scheduler is not None:
-            return self._attempt_cooperative(
-                entry, request, seed_id, attempt_number, builder
-            )
-        return self._run_evaluation(
-            entry, request, seed_id, attempt_number, builder
-        )
-
-    def _attempt_cooperative(
-        self,
-        entry: CachedProgram,
-        request: Dict[str, Any],
-        seed_id: int,
-        attempt_number: int,
-        builder=NULL_TRACE_BUILDER,
-    ) -> _Attempt:
-        """One attempt under the cooperative scheduler: the evaluation
-        becomes a :class:`SliceRunner` task, queued under the request's
-        tenant/priority and executed in fuel slices by the worker pool;
-        this (request) thread blocks until the task completes, so the
-        retry policy and response shaping are oblivious to the mode."""
-        holder: Dict[str, Any] = {}
-
-        def thunk(gate) -> _Attempt:
-            return self._run_evaluation(
-                entry,
-                request,
-                seed_id,
-                attempt_number,
-                builder,
-                gate=gate,
-                runner=holder["runner"],
-            )
-
-        runner = SliceRunner(thunk, clock=self._clock)
-        holder["runner"] = runner
-        task = self.scheduler.submit(
-            request.get("tenant", "anonymous"),
-            request.get("priority", "normal"),
-            runner,
-        )
-        task.wait()
-        result = runner.finish()
-        builder.annotate(slices=task.slices)
-        return result
-
-    def _run_evaluation(
-        self,
-        entry: CachedProgram,
-        request: Dict[str, Any],
-        seed_id: int,
-        attempt_number: int,
-        builder=NULL_TRACE_BUILDER,
-        gate=None,
-        runner=None,
-    ) -> _Attempt:
+        """One attempt, run by the calling thread as a scheduler task:
+        it waits for its first turn, then evaluates, parking at every
+        slice boundary until its next turn (never, under the threads
+        preset).  The governor's deadline reads the task's *active*
+        clock (running time minus parked time), so queueing under a
+        busy scheduler never consumes a request's deadline budget."""
         config = self.config
         stdin = request.get("stdin", "")
-        with builder.span("attempt", number=attempt_number):
-            machine, program, env = self._machine(entry, builder)
-            if gate is not None:
-                # Sliced mode: the machine parks at slice boundaries,
-                # and the governor's deadline is measured against the
-                # gate's *active* clock (running time minus parked
-                # time) so queueing under a busy scheduler can never
-                # consume a request's deadline budget.
-                machine.attach_slice_gate(gate)
-            governor = ResourceGovernor(
-                GovernorLimits(
-                    max_steps=config.max_steps,
-                    max_allocations=config.max_allocations,
-                    deadline_seconds=config.deadline_seconds,
-                ),
-                clock=gate.active_clock if gate is not None else self._clock,
-            )
-            if runner is not None:
-                # Published for the scheduler: ``governor`` is its
-                # preemption hook (§5.1 trips injected mid-slice),
-                # ``machine`` lets the runner report exact final-slice
-                # step counts.
-                runner.governor = governor
-                runner.machine = machine
-            fault = None
-            if config.fault_seed is not None:
-                from repro.chaos.faults import FaultPlan
+        task = Task(
+            request.get("tenant", "anonymous"),
+            request.get("priority", "normal"),
+            clock=self._clock,
+        )
+        governor = ResourceGovernor(
+            GovernorLimits(
+                max_steps=config.max_steps,
+                max_allocations=config.max_allocations,
+                deadline_seconds=config.deadline_seconds,
+            ),
+            clock=task.active_clock,
+        )
+        # The scheduler's preemption hook: §5.1 trips injected
+        # mid-slice.
+        task.governor = governor
+        self.scheduler.submit(task)
+        try:
+            with builder.span("attempt", number=attempt_number):
+                machine, program, env = self._machine(entry, builder)
+                machine.attach_slice_gate(task)
+                fault = None
+                if config.fault_seed is not None:
+                    from repro.chaos.faults import FaultPlan
 
-                fault = FaultPlan.seeded(
-                    config.fault_seed + seed_id * 31 + attempt_number,
-                    horizon=config.fault_horizon,
-                    interrupts=1,
-                    latencies=1,
-                    sleep=self._sleep,
-                )
-                machine.attach_fault_plan(fault)
-            machine.attach_governor(governor)
-            with builder.span("machine-run"):
-                # The governor's deadline base is its own clock read,
-                # taken *inside* the span, so span bookkeeping can
-                # never shift a trip decision.
-                governor.start()
-                outcome = self._observe(program, env, machine, stdin)
-            result = self._classify(outcome, machine, governor, fault)
-            # Decorate the attempt with the machine's deterministic
-            # counters and the exceptional-set summary — observation
-            # after the fact, never interference.
-            builder.annotate(
-                kind=result.kind,
-                steps=result.stats.get("steps"),
-                allocations=result.stats.get("allocations"),
-            )
-            if result.exc is not None:
+                    fault = FaultPlan.seeded(
+                        config.fault_seed + seed_id * 31 + attempt_number,
+                        horizon=config.fault_horizon,
+                        interrupts=1,
+                        latencies=1,
+                        sleep=self._sleep,
+                    )
+                    machine.attach_fault_plan(fault)
+                machine.attach_governor(governor)
+                with builder.span("machine-run"):
+                    # The governor's deadline base is its own clock
+                    # read, taken *inside* the span, so span bookkeeping
+                    # can never shift a trip decision.
+                    governor.start()
+                    outcome = self._observe(program, env, machine, stdin)
+                result = self._classify(outcome, machine, governor, fault)
+                # Decorate the attempt with the machine's deterministic
+                # counters and the exceptional-set summary —
+                # observation after the fact, never interference.
                 builder.annotate(
-                    exc=result.exc, synchronous=result.synchronous
+                    kind=result.kind,
+                    steps=result.stats.get("steps"),
+                    allocations=result.stats.get("allocations"),
                 )
-            if result.reason is not None:
-                builder.annotate(reason=result.reason)
-            return result
+                if result.exc is not None:
+                    builder.annotate(
+                        exc=result.exc, synchronous=result.synchronous
+                    )
+                if result.reason is not None:
+                    builder.annotate(reason=result.reason)
+        finally:
+            self.scheduler.finish(task)
+        builder.annotate(slices=task.slices)
+        return result
 
     def _machine(
         self, entry: CachedProgram, builder
@@ -1163,31 +1103,17 @@ class EvalService:
                 "total": self.batches_total,
                 "programs": self.batch_programs_total,
             }
-        if self.scheduler is not None:
-            snap = self.scheduler.snapshot()
-            scheduler_block = {
-                "mode": "cooperative",
-                "workers": snap["workers"],
-                "slice_steps": snap["slice_steps"],
-                "run_queue_depth": snap["run_queue_depth"],
-                "active_tenants": snap["active_tenants"],
-                "slices": snap["slices"],
-                "preemptions": snap["preemptions"],
-                "starvation_seconds": round(
-                    snap["starvation_seconds"], 3
-                ),
-            }
-        else:
-            scheduler_block = {
-                "mode": "threads",
-                "workers": self.config.max_concurrency,
-                "slice_steps": None,
-                "run_queue_depth": 0,
-                "active_tenants": 0,
-                "slices": 0,
-                "preemptions": 0,
-                "starvation_seconds": 0.0,
-            }
+        snap = self.scheduler.snapshot()
+        scheduler_block = {
+            "mode": self.config.scheduler,
+            "workers": snap["workers"],
+            "slice_steps": snap["slice_steps"],
+            "run_queue_depth": snap["run_queue_depth"],
+            "active_tenants": snap["active_tenants"],
+            "slices": snap["slices"],
+            "preemptions": snap["preemptions"],
+            "starvation_seconds": round(snap["starvation_seconds"], 3),
+        }
         return {
             "status": "ok",
             "backend": self.config.backend,

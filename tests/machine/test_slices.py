@@ -1,13 +1,15 @@
 """Fuel-sliced execution parity (`repro.machine.slices`).
 
-The contract the cooperative scheduler stands on: driving an
-evaluation in bounded slices — any slice size, any interleaving —
-must be observationally identical to running it in one piece, on
-every backend and on the closure tier.  Outcome, counters, trace events, Shuffled RNG stream
-and provenance records are all compared; parking must add *nothing*
-to the observable surface, and interrupts delivered through the gate
-or an injected governor trip must land through the ordinary §5.1
-``AsyncInterrupt`` path at deterministic steps.
+The contract the scheduler stands on: driving an evaluation in
+bounded slices — any slice size, any interleaving — must be
+observationally identical to running it in one piece, on every
+backend and on the closure tier.  Outcome, counters, trace events,
+Shuffled RNG stream and provenance records are all compared; parking
+must add *nothing* to the observable surface, and interrupts
+delivered through the gate or an injected governor trip must land
+through the ordinary §5.1 ``AsyncInterrupt`` path at deterministic
+steps.  Every evaluation runs on the thread that started it: parking
+is a call into the gate, not a hand-off to another thread.
 """
 
 import threading
@@ -24,12 +26,7 @@ from repro.machine import (
     Shuffled,
     observe,
 )
-from repro.machine.slices import (
-    SLICE_DONE,
-    SLICE_YIELDED,
-    SliceRunner,
-    run_sliced,
-)
+from repro.machine.slices import SliceGate, run_sliced
 from repro.obs.sinks import RingBufferSink
 from repro.prelude.loader import machine_env
 from repro.serve.governor import GovernorLimits, ResourceGovernor
@@ -137,46 +134,66 @@ class TestSlicedParity:
             assert snaps[backend] == snaps["ast"], backend
 
 
+class _Recording(SliceGate):
+    """A gate that records each slice and runs ``at_park(gate, n)``
+    (``n`` the 1-based slice number) while the evaluation is parked."""
+
+    def __init__(self, steps, at_park=None, **kwargs):
+        super().__init__(steps, **kwargs)
+        self.executed_slices = []
+        self.threads = []
+        self._at_park = at_park
+
+    def turn(self, executed):
+        self.executed_slices.append(executed)
+        self.threads.append(threading.get_ident())
+        if self._at_park is not None:
+            self._at_park(self, len(self.executed_slices))
+        return self.slice_steps
+
+
+def _interrupt_first_park(gate, n):
+    if n == 1:
+        gate.interrupt(CONTROL_C)
+
+
+def _gated(source, backend, gate, **prepare_kwargs):
+    machine, program, env = prepare(source, backend, **prepare_kwargs)
+    machine.attach_slice_gate(gate)
+    return observe(program, env=env, machine=machine), machine
+
+
 class TestSliceProtocol:
     @EVERY
     def test_yield_then_done_accounting(self, backend):
-        machine, program, env = prepare(WORK, backend)
-        runner = SliceRunner.for_machine(
-            machine, lambda: observe(program, env=env, machine=machine)
-        )
-        statuses = []
-        while True:
-            status = runner.run_slice(40)
-            statuses.append(status)
-            if status.done:
-                break
-        assert statuses[0].state == SLICE_YIELDED
-        assert statuses[-1].state == SLICE_DONE
-        assert len(statuses) > 2
-        assert sum(s.steps for s in statuses) == machine.stats.steps
-        out = runner.finish()
+        gate = _Recording(40)
+        out, machine = _gated(WORK, backend, gate)
         assert isinstance(out, Normal)
+        assert len(gate.executed_slices) > 1
+        assert all(n == 40 for n in gate.executed_slices)
+        assert (
+            sum(gate.executed_slices) + gate.executed()
+            == machine.stats.steps
+        )
+        # Parked in place: every boundary ran on this very thread.
+        assert set(gate.threads) == {threading.get_ident()}
 
     @EVERY
     def test_interrupt_while_parked(self, backend):
         sink = RingBufferSink(capacity=10_000)
-        machine, program, env = prepare(SPIN, backend, sink=sink)
-        runner = SliceRunner.for_machine(
-            machine, lambda: observe(program, env=env, machine=machine)
-        )
-        assert runner.run_slice(100).state == SLICE_YIELDED
-        runner.interrupt(CONTROL_C)
-        # The parked continuation wakes just to unwind; pump until
-        # the runner reports completion.
-        while not runner.run_slice(100).done:
-            pass
-        out = runner.finish()
+        gate = _Recording(100, at_park=_interrupt_first_park)
+        out, _ = _gated(SPIN, backend, gate, sink=sink)
+        # Delivered as the parked evaluation resumes, before it runs
+        # another step.
         assert isinstance(out, Exceptional)
         assert out.exc == CONTROL_C
+        assert gate.executed_slices == [100]
         delivered = [
             e for e in sink.events if e["event"] == "async-interrupt"
         ]
-        assert delivered and delivered[0]["exc"] == "ControlC"
+        assert len(delivered) == 1
+        assert delivered[0]["exc"] == "ControlC"
+        assert delivered[0]["at"] == 100
 
     def test_interrupt_delivery_step_parity(self):
         # Interrupt a parked evaluation after exactly one 100-step
@@ -184,18 +201,8 @@ class TestSliceProtocol:
         at = {}
         for backend in LOWERINGS:
             sink = RingBufferSink(capacity=10_000)
-            machine, program, env = prepare(SPIN, backend, sink=sink)
-            runner = SliceRunner.for_machine(
-                machine,
-                lambda p=program, env=env, machine=machine: observe(
-                    p, env=env, machine=machine
-                ),
-            )
-            assert runner.run_slice(100).state == SLICE_YIELDED
-            runner.interrupt(CONTROL_C)
-            while not runner.run_slice(100).done:
-                pass
-            runner.finish()
+            gate = _Recording(100, at_park=_interrupt_first_park)
+            _gated(SPIN, backend, gate, sink=sink)
             events = [
                 e for e in sink.events
                 if e["event"] == "async-interrupt"
@@ -207,24 +214,25 @@ class TestSliceProtocol:
 
     @EVERY
     def test_governor_inject_preempts_mid_slice(self, backend):
-        # The scheduler's preemption path: an injected governor trip is
-        # delivered mid-slice through poll() -> _interrupt, and
-        # registers as an ordinary TripRecord.
+        # The scheduler's preemption path: a governor trip injected
+        # while the evaluation is parked is delivered mid-slice through
+        # poll() -> _interrupt, and registers as an ordinary TripRecord.
         machine, program, env = prepare(SPIN, backend)
         governor = ResourceGovernor(GovernorLimits())
         machine.attach_governor(governor)
         governor.start()
-        runner = SliceRunner.for_machine(
-            machine, lambda: observe(program, env=env, machine=machine)
-        )
-        assert runner.run_slice(50).state == SLICE_YIELDED
-        governor.inject("tenant-steps", TIMEOUT)
-        status = runner.run_slice(1_000_000)
-        assert status.done
+        def at_park(gate, n):
+            if n == 1:
+                governor.inject("tenant-steps", TIMEOUT)
+                gate.slice_steps = 1_000_000
+
+        gate = _Recording(50, at_park=at_park)
+        machine.attach_slice_gate(gate)
+        out = observe(program, env=env, machine=machine)
+        assert gate.executed_slices == [50]
         # Delivered on the first tick of the new slice, not after the
         # whole grant: the preemption was mid-slice.
-        assert status.steps <= 2
-        out = runner.finish()
+        assert gate.executed() <= 2
         assert isinstance(out, Exceptional)
         assert out.exc == TIMEOUT
         assert governor.tripped
@@ -254,106 +262,104 @@ class TestSliceProtocol:
         assert trip_step(sliced=True) == trip_step(sliced=False)
 
     def test_interleaved_runners_are_isolated(self):
-        # Two evaluations round-robined on one driving thread: each
-        # must produce exactly its solo outcome and counters.
+        # Two evaluations taking turns on one run slot, 11 steps at a
+        # time: each must produce exactly its solo outcome and
+        # counters.
+        from repro.serve.scheduler import CooperativeScheduler, Task
+
         ref_out, ref_machine = plain_run(WORK, "ast")
-        machines, runners = [], []
-        for _ in range(2):
-            machine = Machine(backend="ast")
-            env = machine_env(machine)
-            runners.append(
-                SliceRunner.for_machine(
-                    machine,
-                    lambda env=env, machine=machine: observe(
-                        compile_expr(WORK), env=env, machine=machine
-                    ),
-                )
-            )
-            machines.append(machine)
-        pending = list(runners)
-        while pending:
-            pending = [
-                r for r in pending if not r.run_slice(11).done
-            ]
-        for machine, runner in zip(machines, runners):
-            assert runner.finish() == ref_out
-            assert (
-                machine.stats.snapshot() == ref_machine.stats.snapshot()
-            )
+        sched = CooperativeScheduler(workers=1, slice_steps=11)
+        results = {}
+
+        def evaluate(tenant):
+            task = Task(tenant, "normal")
+            sched.submit(task)
+            try:
+                machine = Machine(backend="ast")
+                env = machine_env(machine)
+                machine.attach_slice_gate(task)
+                out = observe(compile_expr(WORK), env=env, machine=machine)
+            finally:
+                sched.finish(task)
+            results[tenant] = (out, machine.stats.snapshot(), task.slices)
+
+        threads = [
+            threading.Thread(target=evaluate, args=(t,)) for t in "ab"
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        for tenant in "ab":
+            out, stats, slices = results[tenant]
+            assert out == ref_out
+            assert stats == ref_machine.stats.snapshot()
+            assert slices > 2
+        assert sched.snapshot()["completed"] == 2
 
     def test_thunk_error_propagates(self):
-        def boom(_gate):
+        def boom():
             raise ValueError("front-end exploded")
 
-        runner = SliceRunner(boom)
-        assert runner.run_slice(10).done
         with pytest.raises(ValueError, match="front-end exploded"):
-            runner.finish()
+            run_sliced(Machine(backend="ast"), boom, 10)
 
     def test_active_clock_excludes_parked_time(self):
         ticks = [0.0]
+        seen = []
 
-        def clock():
-            return ticks[0]
+        def wait_in_queue(gate, n):
+            # A long wait in the run queue, observed while parked.
+            seen.append(gate.active_clock())
+            ticks[0] += 100.0
+            seen.append(gate.active_clock())
+            if n == 2:
+                gate.interrupt(CONTROL_C)
 
-        machine = Machine(backend="ast")
-        env = machine_env(machine)
-        runner = SliceRunner(
-            lambda gate: (
-                machine.attach_slice_gate(gate),
-                observe(
-                    compile_expr(SPIN), env=env, machine=machine
-                ),
-            )[-1],
-            clock=clock,
+        gate = _Recording(50, at_park=wait_in_queue, clock=lambda: ticks[0])
+        ticks[0] = 5.0
+        out, _ = _gated(SPIN, "ast", gate)
+        assert isinstance(out, Exceptional) and out.exc == CONTROL_C
+        assert seen == [5.0, 5.0, 5.0, 5.0]
+        assert gate.active_clock() == 5.0
+
+    @pytest.mark.parametrize("preset", ["threads", "cooperative"])
+    def test_evaluation_runs_on_the_calling_thread(self, preset):
+        # The submitting thread is the continuation: the service
+        # evaluates on the thread that called handle(), under both
+        # scheduler presets.
+        from repro.serve.service import EvalService, ServiceConfig
+
+        seen = []
+
+        class Probe(EvalService):
+            def _observe(self, expr, env, machine, stdin):
+                seen.append(threading.get_ident())
+                return super()._observe(expr, env, machine, stdin)
+
+        service = Probe(
+            ServiceConfig(scheduler=preset, slice_steps=50, telemetry=False)
         )
-        runner.machine = machine
-        assert runner.run_slice(50).state == SLICE_YIELDED
-        parked_at = runner.gate.active_clock()
-        ticks[0] += 100.0  # a long wait in the run queue
-        assert runner.gate.active_clock() == parked_at
-        runner.interrupt(CONTROL_C)
-        while not runner.run_slice(10).done:
-            pass
-        runner.finish()
-
-    def test_run_slice_after_done_is_noop(self):
-        machine = Machine(backend="ast")
-        env = machine_env(machine)
-        runner = SliceRunner.for_machine(
-            machine,
-            lambda: observe(
-                compile_expr("1 + 2"), env=env, machine=machine
-            ),
-        )
-        while not runner.run_slice(1_000_000).done:
-            pass
-        again = runner.run_slice(10)
-        assert again.done and again.steps == 0
-        assert isinstance(runner.finish(), Normal)
-
-    def test_parked_continuations_are_cheap_threads(self):
-        # A worker can hold many parked evaluations at once — the
-        # 1000-in-flight architecture in miniature.
-        runners = []
-        for _ in range(25):
-            machine = Machine(backend="ast")
-            env = machine_env(machine)
-            runners.append(
-                SliceRunner.for_machine(
-                    machine,
-                    lambda env=env, machine=machine: observe(
-                        compile_expr(WORK), env=env, machine=machine
-                    ),
-                )
+        try:
+            status, body, _ = service.handle({"expr": WORK})
+            assert status == 200 and body["status"] == "value", body
+            assert service.health()["scheduler"]["slices"] > (
+                1 if preset == "cooperative" else 0
             )
-        for runner in runners:
-            assert runner.run_slice(5).state == SLICE_YIELDED
-        assert threading.active_count() >= 25
-        pending = list(runners)
-        while pending:
-            pending = [
-                r for r in pending if not r.run_slice(200).done
-            ]
-        for runner in runners:
-            assert isinstance(runner.finish(), Normal)
+        finally:
+            service.close()
+        assert seen == [threading.get_ident()]
+
+    @pytest.mark.parametrize("preset", ["threads", "cooperative"])
+    def test_service_starts_no_threads(self, preset):
+        from repro.serve.service import EvalService, ServiceConfig
+
+        before = threading.active_count()
+        service = EvalService(ServiceConfig(scheduler=preset, workers=4))
+        try:
+            assert threading.active_count() == before
+            service.handle({"expr": WORK})
+            assert threading.active_count() == before
+        finally:
+            service.close()
+        assert threading.active_count() == before

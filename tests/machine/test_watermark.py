@@ -25,7 +25,7 @@ from repro.io.run import IOExecutor
 from repro.machine import Machine
 from repro.machine.heap import AsyncInterrupt, Cell, MachineDiverged, ObjRaise
 from repro.machine.observe import show_value
-from repro.machine.slices import SliceRunner
+from repro.machine.slices import SliceGate
 from repro.machine.snapshot import shared_snapshot
 from repro.machine.strategy import LeftToRight
 from repro.machine.values import VIO
@@ -119,6 +119,18 @@ class RacingGovernor(ResourceGovernor):
         return marks
 
 
+class RecordingGate(SliceGate):
+    """A slice gate that records the steps of every completed slice."""
+
+    def __init__(self, steps):
+        super().__init__(steps)
+        self.executed_slices = []
+
+    def turn(self, executed):
+        self.executed_slices.append(executed)
+        return self.slice_steps
+
+
 @dataclasses.dataclass
 class Observed:
     outcome: tuple
@@ -199,16 +211,12 @@ def observe_run(
         except MachineDiverged:
             return ("diverged",)
 
-    slices = []
-    if slice_steps is None:
-        outcome = evaluate()
-    else:
-        runner = SliceRunner.for_machine(machine, evaluate)
-        status = runner.run_slice(slice_steps)
-        while not status.done:
-            slices.append(status.steps)
-            status = runner.run_slice(slice_steps)
-        outcome = runner.finish()
+    gate = None
+    if slice_steps is not None:
+        gate = RecordingGate(slice_steps)
+        machine.attach_slice_gate(gate)
+    outcome = evaluate()
+    slices = gate.executed_slices if gate is not None else []
     return Observed(
         outcome=outcome,
         stats=dataclasses.asdict(machine.stats),
@@ -404,16 +412,12 @@ def _start_loop(backend):
         except MachineDiverged:
             return "diverged"
 
-    runner = SliceRunner.for_machine(machine, evaluate)
+    gate = SliceGate(10_000_000)
+    machine.attach_slice_gate(gate)
     outcome = []
-
-    def drive():
-        runner.run_slice(10_000_000)
-        outcome.append(runner.finish())
-
-    worker = threading.Thread(target=drive)
+    worker = threading.Thread(target=lambda: outcome.append(evaluate()))
     worker.start()
-    return machine, governor, runner, worker, outcome
+    return machine, governor, gate, worker, outcome
 
 
 @pytest.mark.parametrize("backend", LOWERINGS)
@@ -423,8 +427,8 @@ def test_cross_thread_injections_are_never_lost(backend):
     # delivered 500k steps late.  More worker threads than cores and a
     # tiny switch interval make the race windows as likely as they get.
     injections = {
-        "Timeout": lambda gov, runner: gov.inject("tenant-quota", TIMEOUT),
-        "ControlC": lambda gov, runner: runner.interrupt(CONTROL_C),
+        "Timeout": lambda gov, gate: gov.inject("tenant-quota", TIMEOUT),
+        "ControlC": lambda gov, gate: gate.interrupt(CONTROL_C),
     }
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -432,7 +436,7 @@ def test_cross_thread_injections_are_never_lost(backend):
         for trial in range(8):
             for expected, inject in injections.items():
                 runs = [_start_loop(backend) for _ in range(3)]
-                for k, (machine, governor, runner, _w, _o) in enumerate(runs):
+                for k, (machine, governor, gate, _w, _o) in enumerate(runs):
                     at_step = 500 + 97 * trial + 13 * k
                     deadline = time.monotonic() + 30
                     while (
@@ -440,7 +444,7 @@ def test_cross_thread_injections_are_never_lost(backend):
                         and time.monotonic() < deadline
                     ):
                         time.sleep(0)
-                    inject(governor, runner)
+                    inject(governor, gate)
                 for machine, _g, _r, worker, outcome in runs:
                     worker.join(timeout=60)
                     assert not worker.is_alive()

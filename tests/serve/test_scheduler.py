@@ -1,9 +1,9 @@
-"""The cooperative multi-tenant scheduler (`repro.serve.scheduler`).
+"""The multi-tenant scheduler (`repro.serve.scheduler`).
 
 Three layers: the bare scheduler (DRR fairness, priority order,
-shutdown semantics) driven with hand-built slice runners; the service
-integration (`--scheduler cooperative`) where the contract is
-byte-identical response bodies vs the threaded mode, plus the new
+shutdown semantics) driven by evaluations on their own threads; the
+service integration where the contract is byte-identical response
+bodies between the `cooperative` and `threads` presets, plus the
 tenant-quota admission and mid-slice §5.1 preemption paths; and the
 telemetry surface (healthz scheduler block, tenant-labelled counters
 with bounded cardinality).
@@ -15,14 +15,10 @@ import time
 import pytest
 
 from repro.api import compile_expr
-from repro.machine import Machine, observe
-from repro.machine.slices import SliceRunner
+from repro.core.excset import CONTROL_C
+from repro.machine import Exceptional, Machine, Normal, observe
 from repro.prelude.loader import machine_env
-from repro.serve.scheduler import (
-    PRIORITIES,
-    CooperativeScheduler,
-    SchedulerHooks,
-)
+from repro.serve.scheduler import CooperativeScheduler, Task
 from repro.serve.service import EvalService, ServiceConfig
 
 #: A few hundred steps of list work.
@@ -31,20 +27,41 @@ WORK = "sum (map (\\x -> x * x) (enumFromTo 1 12))"
 SPIN = "let { w = \\u -> w u } in w ()"
 
 
-def make_runner(source, *, backend="ast", fuel=2_000_000, started=None):
-    """A slice runner over a fresh machine, test-grade: the gate is
-    attached up front (``SliceRunner.for_machine``), so the first
-    grant already slices."""
-    machine = Machine(backend=backend, fuel=fuel)
-    env = machine_env(machine)
-    expr = compile_expr(source)
+class Evaluation:
+    """One evaluation run the way the service runs an attempt: on its
+    own thread, which submits the task, evaluates with the task as the
+    machine's slice gate, and finishes it."""
 
-    def thunk():
-        if started is not None:
-            started.append(source)
-        return observe(expr, env=env, machine=machine)
+    def __init__(self, sched, tenant, priority, source, *, fuel=2_000_000):
+        self.task = Task(tenant, priority)
+        self.outcome = None
+        self._sched = sched
+        self._source = source
+        self._fuel = fuel
+        self.thread = threading.Thread(target=self._run)
+        self.thread.start()
 
-    return SliceRunner.for_machine(machine, thunk)
+    def _run(self):
+        machine = Machine(backend="ast", fuel=self._fuel)
+        env = machine_env(machine)
+        expr = compile_expr(self._source)
+        self._sched.submit(self.task)
+        try:
+            machine.attach_slice_gate(self.task)
+            self.outcome = observe(expr, env=env, machine=machine)
+        finally:
+            self._sched.finish(self.task)
+
+    def wait(self, timeout):
+        self.thread.join(timeout)
+        return not self.thread.is_alive()
+
+
+def wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 def coop_config(**overrides):
@@ -63,12 +80,12 @@ class TestSchedulerCore:
     def test_completes_tasks_and_counts(self):
         sched = CooperativeScheduler(workers=2, slice_steps=100)
         try:
-            tasks = [
-                sched.submit("alice", "normal", make_runner(WORK))
-                for _ in range(4)
+            runs = [
+                Evaluation(sched, "alice", "normal", WORK) for _ in range(4)
             ]
-            for task in tasks:
-                assert task.wait(timeout=30.0)
+            for run in runs:
+                assert run.wait(timeout=30.0)
+                assert isinstance(run.outcome, Normal)
             snap = sched.snapshot()
             assert snap["submitted"] == 4
             assert snap["completed"] == 4
@@ -78,62 +95,59 @@ class TestSchedulerCore:
             sched.close()
 
     def test_light_tenant_not_starved_by_spinner(self):
-        # One worker, a hot tenant spinning forever: DRR must still
+        # One run slot, a hot tenant spinning forever: DRR must still
         # cycle the rotation and run the light tenant's work.
         sched = CooperativeScheduler(workers=1, slice_steps=200)
+        hot = Evaluation(sched, "hog", "normal", SPIN, fuel=50_000_000)
         try:
-            hot = sched.submit(
-                "hog", "normal", make_runner(SPIN, fuel=50_000_000)
-            )
             light = [
-                sched.submit("light", "normal", make_runner(WORK))
-                for _ in range(3)
+                Evaluation(sched, "light", "normal", WORK) for _ in range(3)
             ]
-            for task in light:
-                assert task.wait(timeout=30.0), (
+            for run in light:
+                assert run.wait(timeout=30.0), (
                     "light tenant starved behind a spinning tenant"
                 )
             assert not hot.wait(timeout=0.0)
         finally:
             sched.close()
+        assert hot.wait(timeout=10.0)
 
     def test_priority_orders_within_tenant(self):
-        # Single worker busy on another tenant while one tenant queues
+        # One run slot, busy on another tenant, while one tenant queues
         # a batch task then an interactive one: the interactive task
-        # must be granted its first slice first.  Both runners are
-        # built up front and both tasks queue while the pool is paused,
-        # so the worker cannot rotate to tenant `t` and grant the batch
-        # task a slice before the interactive one is queued.
-        started = []
+        # must be granted its first slice first.  Both tasks queue
+        # while the scheduler is paused, so tenant `t` cannot be
+        # granted a slice before the interactive task is queued.
         sched = CooperativeScheduler(workers=1, slice_steps=200)
+        blocker = Evaluation(sched, "other", "normal", SPIN, fuel=50_000_000)
         try:
-            blocker = sched.submit(
-                "other", "normal", make_runner(SPIN, fuel=50_000_000)
-            )
-            batch_runner = make_runner(WORK, started=started)
-            inter_runner = make_runner(WORK, started=started)
+            wait_for(lambda: sched.snapshot()["slices"] >= 1)
             sched.pause()
-            batch = sched.submit("t", "batch", batch_runner)
-            inter = sched.submit("t", "interactive", inter_runner)
+            depth = lambda: sched.snapshot()["run_queue_depth"]  # noqa: E731
+            # The blocker parks at its next boundary and queues too.
+            batch = Evaluation(sched, "t", "batch", WORK)
+            wait_for(lambda: depth() == 2)
+            inter = Evaluation(sched, "t", "interactive", WORK)
+            wait_for(lambda: depth() == 3)
             sched.resume()
             assert batch.wait(timeout=30.0)
             assert inter.wait(timeout=30.0)
-            assert inter.first_slice_at <= batch.first_slice_at
+            assert inter.task.first_slice_at <= batch.task.first_slice_at
             assert not blocker.wait(timeout=0.0)
         finally:
             sched.close()
+        assert blocker.wait(timeout=10.0)
 
     def test_deficit_round_robin_interleaves_tenants(self):
         sched = CooperativeScheduler(workers=1, slice_steps=50)
         try:
-            tasks = []
-            for tenant in ("a", "b", "c"):
-                for _ in range(3):
-                    tasks.append(
-                        sched.submit(tenant, "normal", make_runner(WORK))
-                    )
-            for task in tasks:
-                assert task.wait(timeout=30.0)
+            runs = [
+                Evaluation(sched, tenant, "normal", WORK)
+                for tenant in ("a", "b", "c")
+                for _ in range(3)
+            ]
+            for run in runs:
+                assert run.wait(timeout=30.0)
             assert sched.snapshot()["completed"] == 9
         finally:
             sched.close()
@@ -142,49 +156,57 @@ class TestSchedulerCore:
         sched = CooperativeScheduler(workers=1)
         sched.close()
         with pytest.raises(RuntimeError):
-            sched.submit("t", "normal", make_runner(WORK))
+            sched.submit(Task("t", "normal"))
 
     def test_unknown_priority_rejected(self):
         sched = CooperativeScheduler(workers=1)
         try:
             with pytest.raises(ValueError):
-                sched.submit("t", "urgent", make_runner(WORK))
+                sched.submit(Task("t", "urgent"))
         finally:
             sched.close()
 
     def test_pause_accumulates_resume_drains(self):
-        # pause() quiesces the workers without touching submission:
+        # pause() stops handing out turns without touching submission:
         # the run queue builds to exactly N, and resume() drains it.
         # This is the mechanism the nightly soak uses to prove 1000
         # evaluations really were in flight concurrently.
         sched = CooperativeScheduler(workers=2, slice_steps=100)
         try:
             sched.pause()
-            tasks = [
-                sched.submit(f"t{i % 3}", "normal", make_runner(WORK))
+            runs = [
+                Evaluation(sched, f"t{i % 3}", "normal", WORK)
                 for i in range(6)
             ]
+            wait_for(lambda: sched.snapshot()["submitted"] == 6)
             snap = sched.snapshot()
             assert snap["run_queue_depth"] == 6, snap
-            assert snap["submitted"] == 6, snap
             assert snap["completed"] == 0, snap
             assert snap["slices"] == 0, snap
             sched.resume()
-            for task in tasks:
-                assert task.wait(timeout=30.0)
+            for run in runs:
+                assert run.wait(timeout=30.0)
             assert sched.snapshot()["completed"] == 6
         finally:
             sched.close()
 
     def test_close_unblocks_spinner(self):
+        # One run slot, two spinners: at close() one holds the slot and
+        # the other is parked or has never started.  Both must unwind
+        # with the ControlC, so no submitter is left waiting.
         sched = CooperativeScheduler(workers=1, slice_steps=100)
-        task = sched.submit(
-            "t", "normal", make_runner(SPIN, fuel=50_000_000)
-        )
-        sched.close()  # cancels with ControlC
-        assert task.wait(timeout=10.0), (
-            "close() left a spinning task's waiter stranded"
-        )
+        runs = [
+            Evaluation(sched, "t", "normal", SPIN, fuel=50_000_000)
+            for _ in range(2)
+        ]
+        wait_for(lambda: sched.snapshot()["submitted"] == 2)
+        sched.close()
+        for run in runs:
+            assert run.wait(timeout=10.0), (
+                "close() left a spinning task's submitter stranded"
+            )
+            assert run.outcome == Exceptional(CONTROL_C)
+        assert sched.snapshot()["completed"] == 2
 
     def test_schedule_seed_perturbs_but_completes(self):
         for seed in (0, 5, 99):
@@ -192,12 +214,12 @@ class TestSchedulerCore:
                 workers=2, slice_steps=100, schedule_seed=seed
             )
             try:
-                tasks = [
-                    sched.submit(t, "normal", make_runner(WORK))
+                runs = [
+                    Evaluation(sched, t, "normal", WORK)
                     for t in ("a", "b", "a", "c")
                 ]
-                for task in tasks:
-                    assert task.wait(timeout=30.0)
+                for run in runs:
+                    assert run.wait(timeout=30.0)
             finally:
                 sched.close()
 
@@ -363,6 +385,34 @@ class TestCooperativeService:
             threaded.close()
 
 
+@pytest.mark.parametrize("preset", ["threads", "cooperative"])
+def test_step_trips_leave_the_breaker_closed(preset):
+    # A batch tenant's spinners trip max_steps: a deterministic
+    # property of the program, not a transient failure, so they must
+    # not open the breaker on everyone else.
+    service = EvalService(
+        ServiceConfig(scheduler=preset, max_steps=20_000, telemetry=False)
+    )
+    try:
+        for _ in range(5):
+            status, body = _normalized(
+                service, {"expr": SPIN, "tenant": "hog", "priority": "batch"}
+            )
+            assert status == 200
+            assert body["status"] == "resource-exhausted"
+            assert body["reason"] == "steps"
+        status, body = _normalized(
+            service,
+            {"expr": "1 + 2", "tenant": "victim", "priority": "interactive"},
+        )
+        assert status == 200, body
+        assert body["status"] == "value"
+        assert body["value"] == "3"
+        assert service.breaker.as_dict()["state"] == "closed"
+    finally:
+        service.close()
+
+
 class TestSchedulerTelemetry:
     def test_healthz_scheduler_block_cooperative(self):
         service = EvalService(coop_config())
@@ -386,6 +436,10 @@ class TestSchedulerTelemetry:
             assert sched["mode"] == "threads"
             assert sched["slices"] == 0
             assert sched["slice_steps"] is None
+            assert sched["workers"] == service.config.max_concurrency
+            # One unbounded grant per attempt: the attempt never parks.
+            service.handle({"expr": WORK})
+            assert service.health()["scheduler"]["slices"] == 1
         finally:
             service.close()
 

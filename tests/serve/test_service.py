@@ -10,6 +10,9 @@ from repro.serve import EvalService, ServiceConfig
 from repro.serve.schema import RESPONSE_SCHEMAS, schema_sets
 
 LOOP = "let { loop = \\x -> loop x } in loop 1"
+#: Ill-typed: the machine gets stuck, a 500 ``internal-error`` — a
+#: failure the breaker counts, unlike a deterministic step trip.
+STUCK = "1 + True"
 FIB = (
     "let { fib = \\n -> if n < 2 then n else fib (n - 1) + fib (n - 2) } "
     "in fib 10"
@@ -192,11 +195,11 @@ class TestCircuitBreaker:
             breaker_threshold=2,
             breaker_reset_seconds=5.0,
         )
-        # Two deterministic resource-exhausted failures open it.
+        # Two internal errors open it.
         for _ in range(2):
-            status, body, _ = service.handle({"expr": LOOP})
-            assert status == 200
-            assert body["status"] == "resource-exhausted"
+            status, body, _ = service.handle({"expr": STUCK})
+            assert status == 500
+            assert body["reason"] == "internal-error"
         assert service.breaker.state == "open"
 
         # Open: fast rejection with Retry-After.
@@ -224,10 +227,30 @@ class TestCircuitBreaker:
             breaker_threshold=1,
             breaker_reset_seconds=5.0,
         )
-        service.handle({"expr": LOOP})
+        service.handle({"expr": STUCK})
         assert service.breaker.state == "open"
         clock.advance(5.5)
-        service.handle({"expr": LOOP})  # the probe also exhausts
+        service.handle({"expr": STUCK})  # the probe also fails
+        assert service.breaker.state == "open"
+
+    def test_transient_failures_open_the_breaker(self):
+        # A deadline trip is environmental: it counts against the
+        # breaker, while a step trip (a property of the program) does
+        # not.
+        service = _service(max_steps=1_000, deadline_seconds=None,
+                           breaker_threshold=1)
+        status, body, _ = service.handle({"expr": LOOP})
+        assert body["reason"] == "steps"
+        assert service.breaker.state == "closed"
+        service = _service(
+            clock=SteppingClock(per_read=0.01),
+            deadline_seconds=0.05,
+            max_steps=None,
+            max_allocations=None,
+            breaker_threshold=1,
+        )
+        status, body, _ = service.handle({"expr": LOOP})
+        assert body["reason"] == "deadline"
         assert service.breaker.state == "open"
 
     def test_exceptional_outcomes_do_not_open_the_breaker(self):
@@ -281,8 +304,13 @@ class TestRetries:
 
 class TestChaosMode:
     def test_seeded_faults_are_injected_and_reported(self):
+        # Injected faults are transient failures: keep the breaker out
+        # of the way so every request is evaluated.
         service = _service(
-            fault_seed=1234, fault_horizon=500, retries=0
+            fault_seed=1234,
+            fault_horizon=500,
+            retries=0,
+            breaker_threshold=1_000_000,
         )
         saw_injection = False
         for n in range(12):
@@ -373,7 +401,7 @@ class TestBatch:
         service = _service(
             max_steps=1_000, deadline_seconds=None, breaker_threshold=1
         )
-        service.handle({"expr": LOOP})
+        service.handle({"expr": STUCK})
         assert service.breaker.state == "open"
         status, body, _ = service.handle({"programs": ["1 + 1"]})
         assert status == 503

@@ -129,13 +129,15 @@ def test_fault_driven_soak(backend):
         service.handle({"expr": "1 + 1"})
     assert service.breaker.state == "closed"
 
-    # Hammer with divergent requests until the breaker opens.  With
-    # chaos mode on, an individual attempt may take an injected
-    # interrupt (a breaker *success*) rather than trip the governor,
-    # so this is a bounded loop, not exactly ``threshold`` requests —
-    # but the seeds are deterministic, so the run is replayable.
+    # Hammer with failing requests until the breaker opens: an
+    # ill-typed program the machine gets stuck on is a 500
+    # internal-error, a breaker failure (a divergent program's step
+    # trip is not).  With chaos mode on, an individual attempt may
+    # take an injected interrupt first, so this is a bounded loop, not
+    # exactly ``threshold`` requests — but the seeds are deterministic,
+    # so the run is replayable.
     for _ in range(100):
-        service.handle({"expr": LOOP})
+        service.handle({"expr": "1 + True"})
         if service.breaker.state == "open":
             break
     assert service.breaker.state == "open"

@@ -141,7 +141,7 @@ class TestErrorPathIds:
             deadline_seconds=None,
             breaker_threshold=1,
         )
-        service.handle({"expr": LOOP})
+        service.handle({"expr": "1 + True"})  # a 500 internal-error
         assert service.breaker.state == "open"
         status, body, _ = service.handle({"expr": "1 + 1"})
         assert status == 503
